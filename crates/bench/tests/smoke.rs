@@ -57,7 +57,10 @@ fn ablations_run() {
 
 #[test]
 fn extension_binaries_run() {
-    let out = run("incremental_mining", &["--scale", "0.02", "--chunks", "2"]);
+    // The report goes to the target's scratch directory, never over a
+    // tracked file.
+    let report = format!("{}/BENCH_incremental_smoke.json", env!("CARGO_TARGET_TMPDIR"));
+    let out = run("incremental_mining", &["--scale", "0.02", "--chunks", "2", "--out", &report]);
     assert!(out.contains("identical outputs"));
     let out = run("scalability", &["--seed", "7", "--steps", "2", "--max-scale", "0.04"]);
     assert!(out.contains("|TDB|"));

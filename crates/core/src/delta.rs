@@ -25,7 +25,10 @@
 //!    posting-list intersection on a checkpoint miss, which is exact but
 //!    costs O(min |postings|) instead of O(|tail|);
 //! 3. splice every stored pattern the tail never touched, unchanged, and
-//!    merge the two canonical-ordered sets.
+//!    merge the two canonical-ordered sets. The splice moves those patterns
+//!    out of the store (re-measured ones are found by binary search over
+//!    its canonical order), and the store's refresh takes the one copy of
+//!    the pattern set a delta makes.
 //!
 //! The output is bit-identical to a batch mine of the full database (the
 //! randomized interleaving tests below assert this), while the work is
@@ -53,7 +56,7 @@ use crate::incremental::IncrementalMiner;
 use crate::measures::{RecurrenceScan, ScanCheckpoint};
 use crate::parallel::AbortCell;
 use crate::params::ResolvedParams;
-use crate::pattern::{canonical_order, RecurringPattern};
+use crate::pattern::{canonical_cmp, canonical_order, RecurringPattern};
 
 /// Fallback threshold of the tail cost model: the delta path re-measures
 /// the dirty candidates by scanning their tail postings, so its work is
@@ -167,12 +170,13 @@ impl DeltaStats {
 }
 
 /// A reusable snapshot of the last complete mining result of one stream,
-/// keyed per item so [`IncrementalMiner::mine_delta`] can splice the
-/// patterns untouched by an append, plus the **measure checkpoints** that
-/// make re-measuring a dirty candidate O(|appended tail|): per item, the
-/// Erec/Rec scan state at the pre-append boundary (last interval endpoint,
-/// running recurrence accumulators, support count, posting-list length);
-/// per previously-examined multi-item candidate, the same resumable state.
+/// in canonical order so [`IncrementalMiner::mine_delta`] can move the
+/// patterns untouched by an append into its result, plus the **measure
+/// checkpoints** that make re-measuring a dirty candidate O(|appended
+/// tail|): per item, the Erec/Rec scan state at the pre-append boundary
+/// (last interval endpoint, running recurrence accumulators, support count,
+/// posting-list length); per previously-examined multi-item candidate, the
+/// same resumable state.
 ///
 /// A store is bound to the stream that refreshed it by a chained prefix
 /// hash; feeding it to a different miner (or one whose history diverged) is
@@ -188,11 +192,10 @@ pub struct PatternStore {
     prefix_hash: u64,
     /// Chained hash of the full snapshot `transactions[0..base_len]`.
     full_hash: u64,
+    /// The snapshot's patterns in canonical order, which is what lets a
+    /// delta find a re-measured pattern by binary search.
     patterns: Vec<RecurringPattern>,
     stats: MiningStats,
-    /// `item index -> indices into `patterns` containing that item` — the
-    /// per-item key that makes the retained/dirty split O(dirty postings).
-    item_patterns: Vec<Vec<u32>>,
     /// Per-item measure checkpoints at the snapshot boundary.
     checkpoints: Vec<ItemCheckpoint>,
     /// Resumable scan states of the multi-item candidates previous delta
@@ -235,25 +238,15 @@ impl PatternStore {
         self.checkpoints.len() + self.resume.len()
     }
 
-    /// The header + pattern-index part of a refresh, shared by the full and
-    /// delta paths.
+    /// The header + patterns part of a refresh, shared by the full and
+    /// delta paths: the store's one copy of the result.
     fn refresh_header(&mut self, miner: &IncrementalMiner, result: &MiningResult) {
         self.params = Some(miner.params());
         self.base_len = miner.len();
         self.prefix_hash = miner.prefix_hash_at(self.base_len.saturating_sub(1));
         self.full_hash = miner.prefix_hash_at(self.base_len);
-        self.patterns = result.patterns.clone();
+        self.patterns.clone_from(&result.patterns);
         self.stats = result.stats;
-        self.item_patterns.clear();
-        for (pi, p) in self.patterns.iter().enumerate() {
-            for &item in &p.items {
-                let idx = item.index();
-                if self.item_patterns.len() <= idx {
-                    self.item_patterns.resize_with(idx + 1, Vec::new);
-                }
-                self.item_patterns[idx].push(pi as u32);
-            }
-        }
     }
 
     /// Refresh after a full batch mine: every checkpoint is rebuilt from
@@ -598,74 +591,75 @@ impl IncrementalMiner {
         // pattern co-occurring in the tail window was examined (its whole
         // extension chain keeps `Erec >= minRec` — Erec never decreases
         // under append) and re-emitted with fresh measures, so splicing it
-        // too would duplicate it.
-        let stored_index: HashMap<&[ItemId], usize> =
-            store.patterns.iter().enumerate().map(|(pi, p)| (p.items.as_slice(), pi)).collect();
-        let mut replaced = vec![false; store.patterns.len()];
+        // too would duplicate it. The store is in canonical order, so each
+        // examined set is looked up by binary search.
+        let mut keep = vec![true; store.patterns.len()];
         for (items, _) in &out.updates {
-            if let Some(&pi) = stored_index.get(items.as_slice()) {
-                replaced[pi] = true;
+            if let Ok(pi) = store.patterns.binary_search_by(|p| canonical_cmp(&p.items, items)) {
+                if let Some(k) = keep.get_mut(pi) {
+                    *k = false;
+                }
             }
         }
-        drop(stored_index);
         // On an abort the enumeration may not have reached a stored pattern
         // whose members are all dirty — its measures could be stale, so it
         // is dropped from the (still sound) partial result instead of
         // spliced. A completed enumeration proves the opposite: not
         // examined means no tail co-occurrence, hence unchanged.
-        let mut dirty_mask = vec![false; self.db().item_count()];
-        for &item in &plan.dirty {
-            dirty_mask[item.index()] = true;
+        if abort.is_some() {
+            let mut dirty_mask = vec![false; self.db().item_count()];
+            for &item in &plan.dirty {
+                dirty_mask[item.index()] = true;
+            }
+            for (k, p) in keep.iter_mut().zip(&store.patterns) {
+                if p.items.iter().all(|i| dirty_mask[i.index()]) {
+                    *k = false;
+                }
+            }
         }
-        let retained: Vec<&RecurringPattern> = store
-            .patterns
-            .iter()
-            .enumerate()
-            .filter(|&(pi, p)| {
-                !replaced[pi] && (abort.is_none() || !p.items.iter().all(|i| dirty_mask[i.index()]))
-            })
-            .map(|(_, p)| p)
-            .collect();
-
-        let mut stats = plan.stats(DeltaMode::Delta);
-        stats.retained_patterns = retained.len();
-        stats.remined_patterns = out.fresh.len();
-        stats.tail_transactions = plan.touched;
-        stats.checkpoint_hits = out.hits;
-        stats.parallel_workers = workers;
-
-        let mut mstats = MiningStats {
-            candidate_items: plan.candidates.len(),
-            scanned_items: plan.dirty.len(),
-            candidates_checked: out.examined,
-            recurrence_tests: out.examined,
-            max_depth: out.max_depth,
-            ..MiningStats::default()
+        // A completed delta moves the retained patterns out of the store
+        // (the refresh below gives the store its one copy of the result);
+        // until then the store is cold, so a panic in between costs a full
+        // re-mine, never a splice of a half-moved set. An aborted delta
+        // leaves the store untouched and copies what it retains.
+        let stored = if abort.is_none() {
+            store.params = None;
+            std::mem::take(&mut store.patterns)
+        } else {
+            store.patterns.clone()
         };
 
         // Canonical-order merge (both inputs are already canonical; the sets
         // are disjoint: retained patterns were not examined, fresh ones
         // all were).
-        let canonical = |a: &RecurringPattern, b: &RecurringPattern| {
-            a.items.len().cmp(&b.items.len()).then_with(|| a.items.cmp(&b.items))
-        };
-        let mut merged: Vec<RecurringPattern> =
-            Vec::with_capacity(retained.len() + out.fresh.len());
+        let remined = out.fresh.len();
+        let mut merged: Vec<RecurringPattern> = Vec::with_capacity(stored.len() + remined);
         let mut fi = out.fresh.into_iter().peekable();
-        for p in retained {
-            while let Some(f) = fi.peek() {
-                if canonical(f, p) == std::cmp::Ordering::Less {
-                    let f = fi.next().expect("peeked");
-                    merged.push(f);
-                } else {
-                    break;
-                }
+        for p in stored.into_iter().zip(keep).filter_map(|(p, k)| k.then_some(p)) {
+            while let Some(f) = fi.next_if(|f| canonical_cmp(&f.items, &p.items).is_lt()) {
+                merged.push(f);
             }
-            merged.push(p.clone());
+            merged.push(p);
         }
         merged.extend(fi);
-        mstats.patterns_found = merged.len();
-        mstats.scratch_bytes_peak = scratch.footprint_bytes();
+
+        let mut stats = plan.stats(DeltaMode::Delta);
+        stats.retained_patterns = merged.len() - remined;
+        stats.remined_patterns = remined;
+        stats.tail_transactions = plan.touched;
+        stats.checkpoint_hits = out.hits;
+        stats.parallel_workers = workers;
+
+        let mstats = MiningStats {
+            candidate_items: plan.candidates.len(),
+            scanned_items: plan.dirty.len(),
+            candidates_checked: out.examined,
+            recurrence_tests: out.examined,
+            max_depth: out.max_depth,
+            patterns_found: merged.len(),
+            scratch_bytes_peak: scratch.footprint_bytes(),
+            ..MiningStats::default()
+        };
 
         let result = MiningResult { patterns: merged, stats: mstats };
         if abort.is_none() {
@@ -867,6 +861,8 @@ mod tests {
         assert_eq!(stats.mode, DeltaMode::Delta);
         assert!(stats.retained_patterns > 0, "clean patterns were spliced");
         assert_bit_identical(&miner, &second, "delta after append");
+        assert_eq!(store.patterns(), second.patterns, "the store holds a copy of the result");
+        assert!(store.is_warm(), "the refresh re-warms the store after the move");
     }
 
     #[test]
@@ -1197,6 +1193,7 @@ mod tests {
         }
         miner.mine_delta(&mut store);
         let base = store.base_len();
+        let stored = store.patterns().to_vec();
         miner.append(50, &["c", "d"]).unwrap();
         let token = CancelToken::new();
         token.cancel();
@@ -1205,12 +1202,17 @@ mod tests {
             miner.mine_delta_controlled(&mut store, &control, &mut MineScratch::new(), 1);
         assert!(abort.is_some(), "pre-cancelled control aborts immediately");
         assert_eq!(store.base_len(), base, "aborted runs do not refresh the store");
+        assert_eq!(store.patterns(), stored, "aborted runs copy, never move, the stored set");
         // Soundness of the partial result: everything in it is genuinely
         // recurring in the full database.
         let batch = mine_resolved(miner.db(), params);
         for p in &result.patterns {
             assert!(batch.patterns.contains(p), "partial result contains only true patterns");
         }
+        // The untouched store still supports an exact delta.
+        let (full, stats) = miner.mine_delta(&mut store);
+        assert_eq!(stats.mode, DeltaMode::Delta);
+        assert_eq!(full.patterns, batch.patterns);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use engine::{
     AbortReason, CancelToken, MetricsCollector, MiningError, MiningOutcome, MiningSession,
     NoopObserver, Observer, ProgressReporter, RunControl,
 };
-pub use export::{write_patterns_json, write_patterns_tsv, write_rules_json};
+pub use export::{push_json_str, write_patterns_json, write_patterns_tsv, write_rules_json};
 pub use growth::{MineScratch, MiningResult, MiningStats, RpGrowth};
 pub use incremental::IncrementalMiner;
 pub use index::PatternIndex;

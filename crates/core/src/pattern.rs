@@ -99,7 +99,12 @@ impl fmt::Display for PatternDisplay<'_> {
 
 /// Orders patterns for deterministic output: by length, then by item ids.
 pub fn canonical_order(patterns: &mut [RecurringPattern]) {
-    patterns.sort_by(|a, b| a.items.len().cmp(&b.items.len()).then_with(|| a.items.cmp(&b.items)));
+    patterns.sort_by(|a, b| canonical_cmp(&a.items, &b.items));
+}
+
+/// The comparison behind [`canonical_order`], on item sets.
+pub(crate) fn canonical_cmp(a: &[ItemId], b: &[ItemId]) -> std::cmp::Ordering {
+    a.len().cmp(&b.len()).then_with(|| a.cmp(b))
 }
 
 #[cfg(test)]

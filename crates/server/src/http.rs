@@ -5,6 +5,13 @@
 //! delimited by `Content-Length`, percent-decoded query strings. No chunked
 //! encoding, no keep-alive, no TLS — and no dependencies, which is the
 //! point: tier-1 stays offline and the crate builds from `std` alone.
+//!
+//! [`read_request`] reads the head through one buffer, up to 4 KiB per
+//! `read` call, so a typical request costs one or two system calls. Body
+//! bytes that arrive in the same reads as the head are kept, and the rest
+//! of the body is read with one `read_exact`. The head may run to 64 KiB
+//! and the body to 256 MiB; beyond either the request fails as
+//! [`ParseError::TooLarge`].
 
 use std::io::{Read, Write};
 
@@ -114,26 +121,44 @@ fn parse_query(raw: &str) -> Vec<(String, String)> {
         .collect()
 }
 
+/// Bytes asked of the stream per `read` call while the head is read.
+const READ_CHUNK: usize = 4096;
+
 /// Reads and parses one request from `stream`.
+///
+/// The head is read in chunks of up to 4 KiB. Bytes past the head's blank
+/// line that arrived in the same reads start the body; the rest of the
+/// body is read in one `read_exact`.
 pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, ParseError> {
     // Read until the blank line ending the head.
-    let mut head = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
-    loop {
-        let n = stream.read(&mut byte)?;
-        if n == 0 {
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; READ_CHUNK];
+    let head_len = loop {
+        let n = stream.read(&mut chunk)?;
+        let got = chunk.get(..n).unwrap_or_default();
+        if got.is_empty() {
             return Err(malformed("connection closed before request head completed"));
         }
-        // lint:allow(panic-reachability): `byte` is a fixed [u8; 1] — index 0 always exists
-        head.push(byte[0]);
-        if head.ends_with(b"\r\n\r\n") {
-            break;
+        // The terminator may straddle two reads: resume the search three
+        // bytes before the new data.
+        let from = buf.len().saturating_sub(3);
+        buf.extend_from_slice(got);
+        let end = buf
+            .get(from..)
+            .and_then(|tail| tail.windows(4).position(|w| w == b"\r\n\r\n"))
+            .map(|at| from + at + 4);
+        // A head may be at most MAX_HEAD_BYTES long, plus the final byte
+        // of its terminator.
+        match end {
+            Some(end) if end <= MAX_HEAD_BYTES + 1 => break end,
+            _ if buf.len() > MAX_HEAD_BYTES => {
+                return Err(ParseError::TooLarge(format!("head exceeds {MAX_HEAD_BYTES} bytes")));
+            }
+            _ => {}
         }
-        if head.len() > MAX_HEAD_BYTES {
-            return Err(ParseError::TooLarge(format!("head exceeds {MAX_HEAD_BYTES} bytes")));
-        }
-    }
-    let head_text = std::str::from_utf8(&head).map_err(|_| malformed("head is not UTF-8"))?;
+    };
+    let (head, early_body) = buf.split_at(head_len);
+    let head_text = std::str::from_utf8(head).map_err(|_| malformed("head is not UTF-8"))?;
     let mut lines = head_text.split("\r\n");
     let request_line = lines.next().ok_or_else(|| malformed("empty request"))?;
     let mut parts = request_line.split_whitespace();
@@ -164,8 +189,13 @@ pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, ParseError> {
     if content_length > MAX_BODY_BYTES {
         return Err(ParseError::TooLarge(format!("body exceeds {MAX_BODY_BYTES} bytes")));
     }
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body)?;
+    let early = early_body.get(..content_length).unwrap_or(early_body);
+    let mut body = Vec::with_capacity(content_length);
+    body.extend_from_slice(early);
+    body.resize(content_length, 0);
+    if let Some(rest) = body.get_mut(early.len()..) {
+        stream.read_exact(rest)?;
+    }
     Ok(Request { method, path: percent_decode(raw_path), query: parse_query(raw_query), body })
 }
 
@@ -290,6 +320,94 @@ mod tests {
         raw.extend(std::iter::repeat_n(b'x', MAX_HEAD_BYTES + 1));
         raw.extend_from_slice(b" HTTP/1.1\r\n\r\n");
         assert!(matches!(parse(&raw), Err(ParseError::TooLarge(_))));
+    }
+
+    /// A reader handing out at most `step` bytes per `read` call.
+    struct Trickle {
+        data: std::io::Cursor<Vec<u8>>,
+        step: usize,
+        reads: usize,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let n = buf.len().min(self.step);
+            self.data.read(&mut buf[..n])
+        }
+    }
+
+    fn parse_in_steps(raw: &[u8], step: usize) -> (Result<Request, ParseError>, usize) {
+        let mut reader = Trickle { data: std::io::Cursor::new(raw.to_vec()), step, reads: 0 };
+        let parsed = read_request(&mut reader);
+        (parsed, reader.reads)
+    }
+
+    /// A head of exactly `len` bytes, terminator included.
+    fn head_of_len(len: usize) -> Vec<u8> {
+        let mut raw = b"GET /".to_vec();
+        raw.extend(std::iter::repeat_n(b'x', len - b"GET / HTTP/1.1\r\n\r\n".len()));
+        raw.extend_from_slice(b" HTTP/1.1\r\n\r\n");
+        assert_eq!(raw.len(), len);
+        raw
+    }
+
+    #[test]
+    fn head_delivered_one_byte_per_read_parses() {
+        let raw = b"POST /v1/datasets/shop/append?x=1 HTTP/1.1\r\n\
+                    Content-Length: 7\r\n\r\n1\tz\n2\tz";
+        for step in [1, 2, 3, 5, 7] {
+            let (req, _) = parse_in_steps(raw, step);
+            let req = req.unwrap();
+            assert_eq!(req.path, "/v1/datasets/shop/append", "step {step}");
+            assert_eq!(req.query_param("x"), Some("1"));
+            assert_eq!(req.body, b"1\tz\n2\tz", "step {step}");
+        }
+    }
+
+    #[test]
+    fn body_in_the_same_read_as_the_head_is_kept() {
+        let raw = b"POST /upload HTTP/1.1\r\nContent-Length: 11\r\n\r\nhello world";
+        let (req, reads) = parse_in_steps(raw, READ_CHUNK);
+        assert_eq!(req.unwrap().body, b"hello world");
+        assert_eq!(reads, 1, "head and body arrived in one read");
+        // A body longer than the first read is finished from the stream.
+        let mut raw = b"POST /upload HTTP/1.1\r\nContent-Length: 10000\r\n\r\n".to_vec();
+        let body: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
+        raw.extend_from_slice(&body);
+        let (req, _) = parse_in_steps(&raw, READ_CHUNK);
+        assert_eq!(req.unwrap().body, body);
+        // Bytes past Content-Length are not part of the body.
+        let (req, _) = parse_in_steps(b"POST / HTTP/1.1\r\nContent-Length: 2\r\n\r\nabcdef", 64);
+        assert_eq!(req.unwrap().body, b"ab");
+    }
+
+    #[test]
+    fn head_limit_is_exact_in_any_read_size() {
+        for step in [1, 1000, READ_CHUNK] {
+            // A head whose terminator ends at byte MAX_HEAD_BYTES + 1 is
+            // accepted; one byte more is not.
+            let (ok, _) = parse_in_steps(&head_of_len(MAX_HEAD_BYTES + 1), step);
+            assert!(ok.is_ok(), "step {step}");
+            let (big, _) = parse_in_steps(&head_of_len(MAX_HEAD_BYTES + 2), step);
+            assert!(matches!(big, Err(ParseError::TooLarge(_))), "step {step}");
+        }
+    }
+
+    #[test]
+    fn every_parse_error_case_survives_chunked_reads() {
+        for step in [1, READ_CHUNK] {
+            let (eof, _) = parse_in_steps(b"GET / HTTP/1.1\r\nHost: x\r\n", step);
+            assert!(matches!(eof, Err(ParseError::Malformed(_))), "closed mid-head");
+            let (utf8, _) = parse_in_steps(b"GET /\xff HTTP/1.1\r\n\r\n", step);
+            assert!(matches!(utf8, Err(ParseError::Malformed(_))), "non-UTF-8 head");
+            let (body, _) =
+                parse_in_steps(b"POST / HTTP/1.1\r\nContent-Length: 268435457\r\n\r\n", step);
+            assert!(matches!(body, Err(ParseError::TooLarge(_))), "body over 256 MiB");
+            let (short, _) =
+                parse_in_steps(b"POST / HTTP/1.1\r\nContent-Length: 9\r\n\r\nabc", step);
+            assert!(matches!(short, Err(ParseError::Io(_))), "truncated body");
+        }
     }
 
     #[test]

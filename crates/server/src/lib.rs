@@ -89,7 +89,7 @@ use rpm_core::growth::MineScratch;
 use rpm_core::params::{ResolvedParams, RpParams, Threshold};
 use rpm_core::pattern::RecurringPattern;
 use rpm_core::sync::{read_recover, write_recover};
-use rpm_core::write_patterns_json;
+use rpm_core::{push_json_str, write_patterns_json};
 use rpm_timeseries::Timestamp;
 
 /// How the server binds and bounds itself.
@@ -460,34 +460,18 @@ fn dispatch(shared: &Shared, req: &Request, segments: &[&str]) -> Response {
     }
 }
 
-/// JSON string escaping for error bodies and dataset names.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The uniform error envelope: every non-2xx body is
 /// `{"error":{"code":…,"message":…}}`. Codes are stable machine-readable
 /// slugs (`bad_request`, `not_found`, `method_not_allowed`, `conflict`,
 /// `payload_too_large`, `backpressure`, `shutting_down`, `internal`);
 /// messages are human-readable and may change between releases.
-fn error_body(code: &str, message: &str) -> String {
-    format!(
-        "{{\"error\":{{\"code\":\"{}\",\"message\":\"{}\"}}}}\n",
-        json_escape(code),
-        json_escape(message)
-    )
+fn error_body(code: &str, message: &str) -> Vec<u8> {
+    let mut body = b"{\"error\":{\"code\":".to_vec();
+    push_json_str(&mut body, code);
+    body.extend_from_slice(b",\"message\":");
+    push_json_str(&mut body, message);
+    body.extend_from_slice(b"}}\n");
+    body
 }
 
 fn bad_request(message: &str) -> Response {
@@ -641,25 +625,33 @@ fn valid_name(name: &str) -> bool {
 }
 
 fn handle_list(shared: &Shared) -> Response {
-    let mut rows = Vec::new();
+    let mut body = b"[".to_vec();
     for name in shared.registry.names() {
         let Some(dataset) = shared.registry.get(&name) else { continue };
         let ds = read_recover(&dataset);
         let hot = ds.hot_params();
-        rows.push(format!(
-            "{{\"name\":\"{}\",\"transactions\":{},\"items\":{},\"fingerprint\":\"{:016x}\",\
-             \"appends\":{},\"hot\":{{\"per\":{},\"min_ps\":{},\"min_rec\":{}}}}}",
-            json_escape(&name),
-            ds.db().len(),
-            ds.db().item_count(),
-            ds.fingerprint(),
-            ds.appends(),
-            hot.per,
-            hot.min_ps,
-            hot.min_rec,
-        ));
+        if body.len() > 1 {
+            body.push(b',');
+        }
+        body.extend_from_slice(b"{\"name\":");
+        push_json_str(&mut body, &name);
+        body.extend_from_slice(
+            format!(
+                ",\"transactions\":{},\"items\":{},\"fingerprint\":\"{:016x}\",\
+                 \"appends\":{},\"hot\":{{\"per\":{},\"min_ps\":{},\"min_rec\":{}}}}}",
+                ds.db().len(),
+                ds.db().item_count(),
+                ds.fingerprint(),
+                ds.appends(),
+                hot.per,
+                hot.min_ps,
+                hot.min_rec,
+            )
+            .as_bytes(),
+        );
     }
-    Response::json(200, format!("[{}]\n", rows.join(",")))
+    body.extend_from_slice(b"]\n");
+    Response::json(200, body)
 }
 
 fn handle_upload(shared: &Shared, name: &str, req: &Request) -> Response {
@@ -705,14 +697,18 @@ fn handle_upload(shared: &Shared, name: &str, req: &Request) -> Response {
     let transactions = db.len();
     let items = db.item_count();
     match shared.registry.register(name, db, hot, replace) {
-        Ok(fingerprint) => Response::json(
-            201,
-            format!(
-                "{{\"name\":\"{}\",\"transactions\":{transactions},\"items\":{items},\
-                 \"fingerprint\":\"{fingerprint:016x}\"}}\n",
-                json_escape(name)
-            ),
-        ),
+        Ok(fingerprint) => {
+            let mut body = b"{\"name\":".to_vec();
+            push_json_str(&mut body, name);
+            body.extend_from_slice(
+                format!(
+                    ",\"transactions\":{transactions},\"items\":{items},\
+                     \"fingerprint\":\"{fingerprint:016x}\"}}\n"
+                )
+                .as_bytes(),
+            );
+            Response::json(201, body)
+        }
         Err(RegisterError::Exists) => Response::json(
             409,
             error_body(

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the fast, offline gate every change must pass.
+# Tier-1 verification: the offline gate every change must pass.
 # (Tier-2 is `cargo test --workspace --features proptest-tests`; tier-3 is
 # scripts/reproduce_all.sh. See CONTRIBUTING.md.)
 set -euo pipefail
@@ -13,13 +13,20 @@ cargo run -q -p rpm-lint --release --offline -- --json --baseline lint-baseline.
 cargo build --release --offline
 cargo build --examples --offline
 RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --offline
-cargo test -q --offline
+# The whole workspace: rpm-core's randomised delta-vs-batch interleavings,
+# rpm-server's unit tests and rpm-lint's selfcheck live outside the root
+# package.
+cargo test --workspace -q --offline
 # Delta-mining smoke: one tiny rep of the incremental bench, which asserts
 # delta == batch bit-identity at every step before writing its report. The
 # 32-transaction batch exercises the checkpoint-resumed batch-append path.
 cargo run -q -p rpm-bench --release --offline --bin incremental_mining -- \
   --scale 0.05 --chunks 2 --batch-sizes 1,32 --reps 1 \
   --out target/BENCH_incremental_smoke.json
+# Serving-benchmark smoke: builds servebench against the crates as they are
+# and runs its three workloads at a tiny scale, asserting byte-identical
+# answers and every declared metric. One to four minutes.
+bash servebench/smoke.sh
 
 # Durability smoke: serve with a data dir, ingest, SIGKILL, restart, and
 # assert the dataset (upload + append) survived the crash. Offline, local

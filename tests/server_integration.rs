@@ -8,7 +8,11 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use recurring_patterns::server::{Server, ServerConfig, ServerHandle};
+use recurring_patterns::core::{
+    write_patterns_json, PatternIndex, RecurringPattern, RpGrowth, RpParams,
+};
+use recurring_patterns::server::{decode_dataset_body, Server, ServerConfig, ServerHandle};
+use recurring_patterns::timeseries::TransactionDb;
 
 /// A parsed response; `complete` asserts the body matched `Content-Length`,
 /// i.e. the server never dropped a connection mid-write.
@@ -197,33 +201,74 @@ fn append_patches_cache_in_place_and_active_sees_new_patterns() {
     assert!(append.body.contains("\"patched\":true"), "{}", append.body);
 
     // The very next mine is a cache HIT on the patched entry, already
-    // carrying the ninth pattern {z} — no engine run in between.
+    // carrying the ninth pattern {z} — no engine run in between — and its
+    // body is byte-for-byte what a batch mine of the same rows exports.
+    text.push_str(lines);
     let after = request(addr, "POST", "/v1/datasets/shop/mine?per=2&min-ps=3&min-rec=2", "");
     assert_eq!(after.status, 200);
     assert_eq!(after.header("x-rpm-cache"), "hit", "append patched, not invalidated");
     assert_eq!(after.header("x-rpm-patterns"), "9");
-    assert!(after.body.contains('z'), "patched body carries the new pattern: {}", after.body);
+    assert_eq!(after.body, batch_export(&text), "patched body equals the batch export");
+
+    // A second append that changes existing patterns rather than adding
+    // one: `a` and `b` gain support, and `z` at ts=80 extends its second
+    // run to [76,80]. The splice must replace the stored {a}, {b}, {a,b}
+    // and {z} with their re-measured versions.
+    let lines = "80\ta b z\n81\ta b\n";
+    let append = request(addr, "POST", "/v1/datasets/shop/append", lines);
+    assert_eq!(append.status, 200, "{}", append.body);
+    assert!(append.body.contains("\"patched\":true"), "{}", append.body);
+    text.push_str(lines);
+    let after = request(addr, "POST", "/v1/datasets/shop/mine?per=2&min-ps=3&min-rec=2", "");
+    assert_eq!(after.header("x-rpm-cache"), "hit", "second append patched too");
+    assert!(after.body.contains("{\"start\":76,\"end\":80,\"ps\":4}"), "{}", after.body);
+    assert_eq!(after.body, batch_export(&text), "re-measured patterns spliced in place");
 
     // The stabbing index rebuilt from the patched entry sees {z} active in
-    // its first run [70,72].
+    // its first run [70,72], and answers exactly what an index over the
+    // batch result exports.
     let active =
         request(addr, "GET", "/v1/datasets/shop/active?per=2&min-ps=3&min-rec=2&at=71", "");
     assert_eq!(active.status, 200, "{}", active.body);
     assert_eq!(active.header("x-rpm-cache"), "hit");
     let n_active: usize = active.header("x-rpm-active").parse().unwrap();
     assert!(n_active >= 1, "z is active at ts=71: {}", active.body);
+    let (db, patterns) = batch_mine(&text);
+    let stabbed: Vec<_> =
+        PatternIndex::build(&patterns).active_at(71).into_iter().cloned().collect();
+    let mut expected = Vec::new();
+    write_patterns_json(&mut expected, db.items(), &stabbed).unwrap();
+    assert_eq!(active.body.as_bytes(), expected, "active body equals the index's export");
 
-    // Counters tell the same story: one engine run total, one patched
-    // append, at least one delta mine that retained the 8 old patterns.
+    // Counters tell the same story: one engine run total, two patched
+    // appends, delta mines that retained the old patterns and re-measured
+    // the touched ones.
     let metrics = request(addr, "GET", "/v1/metrics", "");
     assert_eq!(metrics.counter("runs"), 1, "{}", metrics.body);
-    assert_eq!(metrics.counter("appends_patched"), 1, "{}", metrics.body);
-    assert!(metrics.counter("patches") >= 1, "{}", metrics.body);
-    assert!(metrics.counter("delta") >= 1, "{}", metrics.body);
+    assert_eq!(metrics.counter("appends_patched"), 2, "{}", metrics.body);
+    assert!(metrics.counter("patches") >= 2, "{}", metrics.body);
+    assert!(metrics.counter("delta") >= 2, "{}", metrics.body);
     assert!(metrics.counter("delta_retained") >= 8, "{}", metrics.body);
+    assert!(metrics.counter("delta_remined") >= 4, "{}", metrics.body);
 
     handle.shutdown();
     handle.join();
+}
+
+/// Batch-mines the upload text the server saw, through the server's own
+/// decoder so item ids (and with them the canonical order) match.
+fn batch_mine(text: &str) -> (TransactionDb, Vec<RecurringPattern>) {
+    let db = decode_dataset_body(text.as_bytes()).expect("decodes");
+    let patterns = RpGrowth::new(RpParams::new(2, 3, 2)).mine(&db).patterns;
+    (db, patterns)
+}
+
+/// The JSON lines a batch mine of `text` exports.
+fn batch_export(text: &str) -> String {
+    let (db, patterns) = batch_mine(text);
+    let mut out = Vec::new();
+    write_patterns_json(&mut out, db.items(), &patterns).unwrap();
+    String::from_utf8(out).unwrap()
 }
 
 #[test]
