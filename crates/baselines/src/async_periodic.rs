@@ -1,6 +1,6 @@
 //! Asynchronous periodic pattern mining in the style of Yang, Wang & Yu,
 //! *"Mining asynchronous periodic patterns in time series data"* (IEEE TKDE
-//! 2003) — the paper's reference [17], which its §2 singles out as closely
+//! 2003) — the paper's reference \[17\], which its §2 singles out as closely
 //! related but unable to express recurring patterns because it "models a
 //! time series as a symbolic sequence".
 //!

@@ -1,5 +1,5 @@
 //! Cyclic itemset mining in the style of Özden, Ramaswamy & Silberschatz,
-//! *"Cyclic association rules"* (ICDE 1998) — the paper's reference [2],
+//! *"Cyclic association rules"* (ICDE 1998) — the paper's reference \[2\],
 //! which its §2 calls "quite restrictive in finding the patterns that are
 //! present at every cycle".
 //!

@@ -1,5 +1,5 @@
 //! InfoMiner-style mining of *surprising* periodic patterns (Yang, Wang &
-//! Yu, ICDM 2002 — the paper's reference [8], "InfoMiner+: mining partial
+//! Yu, ICDM 2002 — the paper's reference \[8\], "InfoMiner+: mining partial
 //! periodic patterns with gap penalties").
 //!
 //! Support thresholds treat all items alike, so rare-but-regular behaviour

@@ -1,5 +1,5 @@
 //! Frequent itemset mining with **multiple minimum supports** (Liu, Hsu &
-//! Ma, KDD 1999 — the paper's reference [13]). This is the classic answer
+//! Ma, KDD 1999 — the paper's reference \[13\]). This is the classic answer
 //! to the rare-item problem the EDBT paper's introduction leans on: one
 //! `minSup` either hides rare items or floods the output, so each item gets
 //! its own threshold

@@ -1,6 +1,6 @@
 //! Numeric motif discovery — the *numerical curve pattern* side of the
-//! paper's §2 contrast ("finding partial periodic patterns [4], motifs [21],
-//! and recurring patterns [22] has also been studied in time series;
+//! paper's §2 contrast ("finding partial periodic patterns \[4\], motifs \[21\],
+//! and recurring patterns \[22\] has also been studied in time series;
 //! however, the focus was on finding numerical curve patterns rather than
 //! symbolic patterns").
 //!

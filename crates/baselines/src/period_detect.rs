@@ -1,7 +1,7 @@
 //! Period detection for point sequences — the "unknown periods" half of Ma
-//! & Hellerstein's title (ICDE 2001, the paper's [7]) plus the
+//! & Hellerstein's title (ICDE 2001, the paper's \[7\]) plus the
 //! autocorrelation approach of Berberidis et al. (PKDD 2002, the paper's
-//! [10], "On the discovery of weak periodicities in large time series").
+//! \[10\], "On the discovery of weak periodicities in large time series").
 //!
 //! Everywhere else in this workspace the period (`per`) is user-supplied,
 //! as in the EDBT paper's evaluation; these detectors close the loop for

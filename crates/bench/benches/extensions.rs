@@ -8,8 +8,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpm_bench::datasets::{load, Dataset};
 use rpm_core::engine::MiningSession;
 use rpm_core::{
-    closed_patterns, generate_rules, mine_parallel, mine_relaxed, top_k, IncrementalMiner,
-    NoiseParams, RankBy, ResolvedParams,
+    closed_patterns, generate_rules, mine_relaxed, top_k, IncrementalMiner, NoiseParams, RankBy,
+    ResolvedParams,
 };
 use rpm_timeseries::TransactionDb;
 use std::hint::black_box;
@@ -17,10 +17,15 @@ use std::hint::black_box;
 const SCALE: f64 = 0.05;
 const SEED: u64 = 42;
 
-/// Single-threaded batch mine through the engine entry point.
-fn mine_session(db: &TransactionDb, params: ResolvedParams) -> Vec<rpm_core::RecurringPattern> {
+/// Batch mine on `threads` workers through the engine entry point.
+fn mine_session(
+    db: &TransactionDb,
+    params: ResolvedParams,
+    threads: usize,
+) -> Vec<rpm_core::RecurringPattern> {
     MiningSession::builder()
         .resolved(params)
+        .threads(threads)
         .build()
         .expect("valid params")
         .mine(db)
@@ -35,11 +40,11 @@ fn parallel_speedup(c: &mut Criterion) {
     let mut group = c.benchmark_group("extensions/parallel");
     group.sample_size(10);
     group.bench_function("sequential", |b| {
-        b.iter(|| black_box(mine_session(&db, params)).len());
+        b.iter(|| black_box(mine_session(&db, params, 1)).len());
     });
     for threads in [2usize, 4, 8] {
         group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &t| {
-            b.iter(|| black_box(mine_parallel(&db, params, t)).patterns.len());
+            b.iter(|| black_box(mine_session(&db, params, t)).len());
         });
     }
     group.finish();
@@ -77,7 +82,7 @@ fn relaxed_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("extensions/relaxed");
     group.sample_size(10);
     group.bench_function("strict_growth", |b| {
-        b.iter(|| black_box(mine_session(&db, base)).len());
+        b.iter(|| black_box(mine_session(&db, base, 1)).len());
     });
     group.bench_function("relaxed_k2", |b| {
         let params = NoiseParams::new(base, 2, base.per * 4);
@@ -89,7 +94,7 @@ fn relaxed_overhead(c: &mut Criterion) {
 fn post_processing(c: &mut Criterion) {
     let (db, _) = load(Dataset::Shop14, SCALE, SEED);
     let params = ResolvedParams::new(360, (db.len() / 100).max(1), 1);
-    let mined = mine_session(&db, params);
+    let mined = mine_session(&db, params, 1);
     let mut group = c.benchmark_group("extensions/post");
     group.bench_function(format!("closed_{}", mined.len()), |b| {
         b.iter(|| black_box(closed_patterns(&mined)).len());

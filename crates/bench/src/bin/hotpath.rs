@@ -4,7 +4,9 @@
 //! this binary is the perf tool that always works: plain
 //! `std::time::Instant`, warm-up + median-of-N, a planted `rpm-datagen`
 //! dataset, and a machine-readable `BENCH_hotpath.json` so the perf
-//! trajectory is tracked PR over PR.
+//! trajectory is tracked PR over PR. Every thread count mines through a
+//! `MiningSession` with the default no-op observer and unlimited control,
+//! the path every caller takes.
 //!
 //! ```text
 //! cargo run -p rpm-bench --release --bin hotpath -- \
@@ -21,7 +23,7 @@ use std::time::Instant;
 
 use rpm_bench::datasets::{load, Dataset};
 use rpm_bench::HarnessArgs;
-use rpm_core::{mine_parallel, MiningResult, MiningSession, RpParams, Threshold};
+use rpm_core::{MiningResult, MiningSession, RpParams, Threshold};
 
 struct Run {
     threads: usize,
@@ -67,11 +69,13 @@ fn main() {
 
     let mut runs: Vec<Run> = Vec::new();
     for &t in &threads {
+        let session =
+            MiningSession::builder().resolved(params).threads(t).build().expect("valid params");
         let mut wall_ms = Vec::with_capacity(reps);
         let mut last: Option<MiningResult> = None;
         for rep in 0..warmup + reps {
             let t0 = Instant::now();
-            let result = mine_parallel(&db, params, t);
+            let result = session.mine(&db).expect("non-empty db").into_result();
             let ms = t0.elapsed().as_secs_f64() * 1e3;
             if rep >= warmup {
                 wall_ms.push(ms);
@@ -100,29 +104,7 @@ fn main() {
         assert_eq!(w[0].patterns, w[1].patterns, "thread counts disagree on patterns");
     }
 
-    // Engine-layer overhead: the same single-thread workload routed through
-    // MiningSession with the default no-op observer and unlimited RunControl.
-    // The probe + observer plumbing must stay within noise (≤3%) of the
-    // direct path.
-    let session = MiningSession::builder().resolved(params).build().expect("valid params");
-    let mut engine_ms = Vec::with_capacity(reps);
-    for rep in 0..warmup + reps {
-        let t0 = Instant::now();
-        let outcome = session.mine(&db).expect("non-empty db");
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        if rep >= warmup {
-            engine_ms.push(ms);
-        }
-        assert!(outcome.is_complete(), "unlimited control must complete");
-    }
-    let engine_med = median(&mut engine_ms.clone());
-
     let single = runs.iter().find(|r| r.threads == 1).map(|r| median(&mut r.wall_ms.clone()));
-    let engine_overhead = single.map(|s| engine_med / s - 1.0);
-    println!(
-        "engine    median={engine_med:>9.2} ms  (session + no-op observer, overhead {})",
-        engine_overhead.map_or_else(|| "n/a".to_string(), |o| format!("{:+.2}%", o * 100.0))
-    );
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(&format!(
@@ -156,14 +138,7 @@ fn main() {
             if i + 1 == runs.len() { "" } else { "," }
         ));
     }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"engine\": {{\"wall_ms_median\": {:.3}, \"wall_ms\": {:?}, \"overhead_vs_single\": {}, \"observer\": \"noop\", \"control\": \"unlimited\"}}\n",
-        engine_med,
-        engine_ms.iter().map(|v| (v * 1000.0).round() / 1000.0).collect::<Vec<_>>(),
-        engine_overhead.map_or_else(|| "null".to_string(), |o| format!("{o:.4}")),
-    ));
-    json.push_str("}\n");
+    json.push_str("  ]\n}\n");
     std::fs::write(out_path, &json).expect("write report");
     println!("\nwrote {out_path}");
 }

@@ -11,7 +11,7 @@
 //! result. [`IncrementalMiner::mine_delta`] exploits both facts, plus a
 //! third: the measures are computed by a single left-to-right scan, so the
 //! scan state at the pre-append boundary (checkpointed in the store, see
-//! [`crate::checkpoint`]) lets a dirty candidate be re-measured by feeding
+//! the `checkpoint` module) lets a dirty candidate be re-measured by feeding
 //! **only the appended tail** instead of its full posting list:
 //!
 //! 1. derive the **dirty items** — everything occurring in a transaction
@@ -50,8 +50,9 @@ use crate::checkpoint::{
     advance, cooccurrence_ts, rebuild_item_checkpoints, ItemCheckpoint, PatternCheckpoint,
 };
 use crate::engine::control::{AbortReason, ControlProbe};
+use crate::engine::observer::NOOP;
 use crate::engine::RunControl;
-use crate::growth::{MineScratch, MiningResult, MiningStats};
+use crate::growth::{mine_list, MineScratch, MiningResult, MiningStats};
 use crate::incremental::IncrementalMiner;
 use crate::measures::{RecurrenceScan, ScanCheckpoint};
 use crate::parallel::AbortCell;
@@ -120,9 +121,8 @@ impl DeltaMode {
     }
 }
 
-/// What one delta-mine call did — the observability record exported through
-/// [`crate::engine::MetricsCollector::absorb_delta`] and the server's
-/// `/v1/metrics`.
+/// What one delta-mine call did — the observability record the server
+/// folds into `/v1/metrics`.
 #[derive(Debug, Clone, Copy)]
 pub struct DeltaStats {
     /// The path taken.
@@ -148,7 +148,8 @@ pub struct DeltaStats {
     /// Candidate re-measurements resumed from a stored checkpoint (the
     /// remainder fell back to posting-list intersection).
     pub checkpoint_hits: usize,
-    /// Worker threads the frontier re-measurement ran on (1 = sequential).
+    /// Worker threads the frontier re-measurement or the full re-mine ran
+    /// on (1 = sequential; 0 when nothing was mined).
     pub parallel_workers: usize,
 }
 
@@ -465,12 +466,12 @@ impl IncrementalMiner {
     }
 
     /// Like [`IncrementalMiner::mine_delta`], under engine control, with a
-    /// caller-held scratch arena, and re-measuring the frontier on up to
-    /// `threads` work-stealing workers (candidate-level regions, first-win
-    /// abort; output bit-identical to `threads == 1`). When a limit trips,
-    /// the partial result is still sound (every emitted pattern is
-    /// genuinely recurring) and the store is left at its previous snapshot,
-    /// untouched.
+    /// caller-held scratch arena, and re-measuring the frontier (or running
+    /// the full fallback) on up to `threads` work-stealing workers
+    /// (first-win abort; output bit-identical to `threads == 1`). When a
+    /// limit trips, the partial result is still sound (every emitted
+    /// pattern is genuinely recurring) and the store is left at its
+    /// previous snapshot, untouched.
     pub fn mine_delta_controlled(
         &self,
         store: &mut PatternStore,
@@ -481,11 +482,15 @@ impl IncrementalMiner {
         let plan = self.delta_plan(store);
         match plan.action {
             Action::Full(reason) => {
-                let (result, abort) = self.mine_controlled(control, scratch);
+                let list = self.live_list();
+                let (result, abort) =
+                    mine_list(self.db(), &list, self.params(), threads, control, &NOOP, scratch);
                 if abort.is_none() {
                     store.refresh_full(self, &result);
                 }
-                (result, abort, plan.stats(DeltaMode::Full(reason)))
+                let mut stats = plan.stats(DeltaMode::Full(reason));
+                stats.parallel_workers = threads.max(1);
+                (result, abort, stats)
             }
             Action::Unchanged => {
                 let mut stats = plan.stats(DeltaMode::Unchanged);
@@ -829,8 +834,13 @@ fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::growth::mine_resolved_impl as mine_resolved;
-    use rpm_timeseries::running_example_db;
+    use crate::growth::RpGrowth;
+    use crate::params::RpParams;
+    use rpm_timeseries::{running_example_db, TransactionDb};
+
+    fn mine_resolved(db: &TransactionDb, p: ResolvedParams) -> MiningResult {
+        RpGrowth::new(RpParams::new(p.per, p.min_ps, p.min_rec)).mine(db)
+    }
 
     fn assert_bit_identical(miner: &IncrementalMiner, got: &MiningResult, ctx: &str) {
         let batch = mine_resolved(miner.db(), miner.params());
@@ -863,6 +873,26 @@ mod tests {
         assert_bit_identical(&miner, &second, "delta after append");
         assert_eq!(store.patterns(), second.patterns, "the store holds a copy of the result");
         assert!(store.is_warm(), "the refresh re-warms the store after the move");
+    }
+
+    #[test]
+    fn cold_store_full_mine_runs_on_the_requested_workers() {
+        let params = ResolvedParams::new(2, 3, 1);
+        let db = running_example_db();
+        let mut miner = IncrementalMiner::with_items(db.items().clone(), params);
+        for t in db.transactions() {
+            miner.append_ids(t.timestamp(), t.items().to_vec()).unwrap();
+        }
+        let control = RunControl::new();
+        let mut store = PatternStore::new();
+        let (full, abort, stats) =
+            miner.mine_delta_controlled(&mut store, &control, &mut MineScratch::new(), 3);
+        assert!(abort.is_none());
+        assert_eq!(stats.mode, DeltaMode::Full(FullReason::ColdStore));
+        assert_eq!(stats.parallel_workers, 3);
+        let batch = mine_resolved(miner.db(), params);
+        assert_eq!(full.patterns, batch.patterns);
+        assert_eq!(full.stats.normalized(), batch.stats.normalized());
     }
 
     #[test]

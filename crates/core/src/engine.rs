@@ -13,8 +13,8 @@
 //!   implementations ([`NoopObserver`], [`ProgressReporter`],
 //!   [`MetricsCollector`]);
 //! * [`session`] — [`MiningSession`], the builder-configured entry point
-//!   that replaces the free-function zoo, returning a typed
-//!   [`MiningOutcome`] (complete or sound-partial);
+//!   onto the one mining pipeline, returning a typed [`MiningOutcome`]
+//!   (complete or sound-partial);
 //! * [`miner`] — the algorithm-agnostic [`Miner`] trait for generic
 //!   dispatch across RP-growth and the baselines;
 //! * [`error`] — [`MiningError`], the unified error enum of user-reachable

@@ -167,27 +167,6 @@ pub struct EngineMetrics {
     pub suffixes_done: usize,
     /// Candidates summed over every [`Observer::on_candidate_batch`].
     pub candidates_seen: usize,
-    /// Delta-mine calls that stayed on the incremental path
-    /// ([`crate::delta::DeltaMode::is_delta`]), via
-    /// [`MetricsCollector::absorb_delta`].
-    pub delta_runs: usize,
-    /// Delta-mine calls that fell back to a full re-mine.
-    pub delta_full_runs: usize,
-    /// Patterns spliced unchanged from a [`crate::delta::PatternStore`],
-    /// summed over delta-path runs.
-    pub delta_retained: usize,
-    /// Patterns recomputed by dirty-frontier re-growth, summed over
-    /// delta-path runs.
-    pub delta_remined: usize,
-    /// Tail-window transactions scanned by checkpointed delta mines
-    /// ([`crate::delta::DeltaStats::tail_transactions`]), summed.
-    pub delta_tail_tx: usize,
-    /// Candidate re-measurements resumed from a stored measure checkpoint,
-    /// summed over delta-path runs.
-    pub delta_checkpoint_hits: usize,
-    /// High-water mark of worker threads a delta frontier re-measurement
-    /// ran on.
-    pub delta_parallel_workers: usize,
 }
 
 impl EngineMetrics {
@@ -222,13 +201,6 @@ impl EngineMetrics {
         ));
         s.push_str(&format!("  \"suffixes_done\": {},\n", self.suffixes_done));
         s.push_str(&format!("  \"candidates_checked\": {},\n", self.stats.candidates_checked));
-        s.push_str(&format!("  \"delta_runs\": {},\n", self.delta_runs));
-        s.push_str(&format!("  \"delta_full_runs\": {},\n", self.delta_full_runs));
-        s.push_str(&format!("  \"delta_retained\": {},\n", self.delta_retained));
-        s.push_str(&format!("  \"delta_remined\": {},\n", self.delta_remined));
-        s.push_str(&format!("  \"delta_tail_tx\": {},\n", self.delta_tail_tx));
-        s.push_str(&format!("  \"delta_checkpoint_hits\": {},\n", self.delta_checkpoint_hits));
-        s.push_str(&format!("  \"delta_parallel_workers\": {},\n", self.delta_parallel_workers));
         s.push_str(&format!("  \"patterns_found\": {}\n", self.stats.patterns_found));
         s.push('}');
         s
@@ -269,13 +241,6 @@ pub struct MetricsCollector {
     inner: Mutex<MetricsInner>,
     suffixes_done: AtomicUsize,
     candidates_seen: AtomicUsize,
-    delta_runs: AtomicUsize,
-    delta_full_runs: AtomicUsize,
-    delta_retained: AtomicUsize,
-    delta_remined: AtomicUsize,
-    delta_tail_tx: AtomicUsize,
-    delta_checkpoint_hits: AtomicUsize,
-    delta_parallel_workers: AtomicUsize,
 }
 
 impl MetricsCollector {
@@ -295,36 +260,12 @@ impl MetricsCollector {
             abort: inner.abort,
             suffixes_done: self.suffixes_done.load(Ordering::Relaxed),
             candidates_seen: self.candidates_seen.load(Ordering::Relaxed),
-            delta_runs: self.delta_runs.load(Ordering::Relaxed),
-            delta_full_runs: self.delta_full_runs.load(Ordering::Relaxed),
-            delta_retained: self.delta_retained.load(Ordering::Relaxed),
-            delta_remined: self.delta_remined.load(Ordering::Relaxed),
-            delta_tail_tx: self.delta_tail_tx.load(Ordering::Relaxed),
-            delta_checkpoint_hits: self.delta_checkpoint_hits.load(Ordering::Relaxed),
-            delta_parallel_workers: self.delta_parallel_workers.load(Ordering::Relaxed),
         }
     }
 
     /// Whether the observed run has finished.
     pub fn is_complete(&self) -> bool {
         lock_recover(&self.inner).complete
-    }
-
-    /// Folds the outcome of one [`crate::IncrementalMiner::mine_delta`]
-    /// call into the delta counters. The delta path runs outside the
-    /// session engine (no phase callbacks fire), so the serving layer
-    /// reports it explicitly through this hook.
-    pub fn absorb_delta(&self, stats: &crate::delta::DeltaStats) {
-        if stats.mode.is_delta() {
-            self.delta_runs.fetch_add(1, Ordering::Relaxed);
-            self.delta_retained.fetch_add(stats.retained_patterns, Ordering::Relaxed);
-            self.delta_remined.fetch_add(stats.remined_patterns, Ordering::Relaxed);
-            self.delta_tail_tx.fetch_add(stats.tail_transactions, Ordering::Relaxed);
-            self.delta_checkpoint_hits.fetch_add(stats.checkpoint_hits, Ordering::Relaxed);
-            self.delta_parallel_workers.fetch_max(stats.parallel_workers, Ordering::Relaxed);
-        } else {
-            self.delta_full_runs.fetch_add(1, Ordering::Relaxed);
-        }
     }
 }
 
@@ -395,41 +336,6 @@ mod tests {
         assert!(json.contains("\"growth\""));
         assert!(json.contains("\"abort\": \"deadline exceeded\""));
         assert!(json.starts_with('{') && json.ends_with('}'));
-    }
-
-    #[test]
-    fn absorb_delta_splits_delta_and_full_runs() {
-        use crate::delta::{DeltaMode, DeltaStats, FullReason};
-        let m = MetricsCollector::new();
-        let mut delta = DeltaStats {
-            mode: DeltaMode::Delta,
-            touched_transactions: 1,
-            dirty_items: 2,
-            dirty_candidates: 1,
-            reachable_transactions: 3,
-            retained_patterns: 5,
-            remined_patterns: 2,
-            tail_transactions: 4,
-            checkpoint_hits: 3,
-            parallel_workers: 2,
-        };
-        m.absorb_delta(&delta);
-        delta.mode = DeltaMode::Unchanged;
-        m.absorb_delta(&delta);
-        delta.mode = DeltaMode::Full(FullReason::FrontierExceeded);
-        m.absorb_delta(&delta);
-        let snap = m.snapshot();
-        assert_eq!(snap.delta_runs, 2);
-        assert_eq!(snap.delta_full_runs, 1);
-        assert_eq!(snap.delta_retained, 10);
-        assert_eq!(snap.delta_remined, 4);
-        assert_eq!(snap.delta_tail_tx, 8);
-        assert_eq!(snap.delta_checkpoint_hits, 6);
-        assert_eq!(snap.delta_parallel_workers, 2);
-        let json = snap.to_json();
-        assert!(json.contains("\"delta_runs\": 2"));
-        assert!(json.contains("\"delta_full_runs\": 1"));
-        assert!(json.contains("\"delta_checkpoint_hits\": 6"));
     }
 
     #[test]

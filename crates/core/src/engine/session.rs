@@ -1,11 +1,12 @@
-//! The unified entry point of the miner: configure once, mine many.
+//! The configurable entry point of the miner: configure once, mine many.
 //!
-//! A [`MiningSession`] replaces the free-function zoo of earlier versions
-//! (`mine_resolved`, `mine_with_list`, `mine_with_scratch`, `mine_parallel`)
-//! with one builder-configured object owning the resolved parameters, the
-//! thread count, the [`RunControl`] limits and the [`Observer`]. A session
-//! is immutable and `Send + Sync`, so one configuration can mine many
-//! databases (threshold sweeps, re-mining after appends) from any thread.
+//! A [`MiningSession`] is one builder-configured object owning the resolved
+//! parameters, the thread count, the [`RunControl`] limits and the
+//! [`Observer`]. It runs the RP-list scan and hands the list to the same
+//! pipeline every miner uses (`growth::mine_list`), sequential or
+//! work-stealing by thread count. A session is immutable and
+//! `Send + Sync`, so one configuration can mine many databases (threshold
+//! sweeps, re-mining after appends) from any thread.
 //!
 //! ```
 //! use rpm_core::engine::MiningSession;
@@ -22,13 +23,11 @@
 //! ```
 
 use std::fmt;
-use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
 use rpm_timeseries::TransactionDb;
 
-use crate::growth::{mine_engine, Exec, MineScratch, MiningResult, MiningStats};
-use crate::parallel::mine_parallel_engine;
+use crate::growth::{mine_list, MineScratch, MiningResult, MiningStats};
 use crate::params::{ResolvedParams, RpParams};
 use crate::pattern::RecurringPattern;
 use crate::rplist::RpList;
@@ -145,17 +144,6 @@ impl MiningSession {
     /// interrupted run is **not** an error — it yields
     /// [`MiningOutcome::Partial`] with everything mined so far.
     pub fn mine(&self, db: &TransactionDb) -> Result<MiningOutcome, MiningError> {
-        self.mine_with_scratch(db, &mut MineScratch::new())
-    }
-
-    /// Like [`MiningSession::mine`], reusing a caller-held scratch arena so
-    /// repeated sequential runs skip warm-up allocations. Parallel runs use
-    /// per-worker scratch and ignore `scratch`.
-    pub fn mine_with_scratch(
-        &self,
-        db: &TransactionDb,
-        scratch: &mut MineScratch,
-    ) -> Result<MiningOutcome, MiningError> {
         if db.is_empty() {
             return Err(MiningError::EmptyDatabase);
         }
@@ -164,16 +152,17 @@ impl MiningSession {
             ParamSpec::Resolved(p) => *p,
         };
         let observer: &dyn Observer = &*self.observer;
-        let (result, reason) = if self.threads > 1 {
-            mine_parallel_engine(db, params, self.threads, &self.control, observer)
-        } else {
-            observer.on_phase(Phase::ListScan);
-            let list = RpList::build(db, params);
-            let done = AtomicUsize::new(0);
-            let mut exec =
-                Exec { probe: self.control.start(), observer, done: &done, total: list.len() };
-            mine_engine(db, &list, params, scratch, &mut exec)
-        };
+        observer.on_phase(Phase::ListScan);
+        let list = RpList::build(db, params);
+        let (result, reason) = mine_list(
+            db,
+            &list,
+            params,
+            self.threads,
+            &self.control,
+            observer,
+            &mut MineScratch::new(),
+        );
         observer.on_complete(&result.stats, reason);
         Ok(match reason {
             None => MiningOutcome::Complete(result),
@@ -244,7 +233,7 @@ impl SessionBuilder {
 mod tests {
     use super::*;
     use crate::engine::control::CancelToken;
-    use crate::growth::{mine_resolved_impl, RpGrowth};
+    use crate::growth::RpGrowth;
     use rpm_timeseries::running_example_db;
     use std::time::Duration;
 
@@ -314,7 +303,7 @@ mod tests {
             .unwrap();
         let outcome = session.mine(&db).unwrap();
         assert_eq!(outcome.abort_reason(), Some(AbortReason::DeadlineExceeded));
-        let full = mine_resolved_impl(&db, ResolvedParams::new(2, 3, 2));
+        let full = RpGrowth::new(RpParams::new(2, 3, 2)).mine(&db);
         for p in outcome.patterns() {
             assert!(full.patterns.contains(p), "partial pattern not in full result");
         }

@@ -13,10 +13,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rpm_timeseries::{ItemId, Timestamp, TransactionDb};
 
-use crate::engine::control::{AbortReason, ControlProbe};
+use crate::engine::control::{AbortReason, ControlProbe, RunControl};
 use crate::engine::observer::{Observer, Phase, NOOP};
 use crate::measures::{IntervalScan, RecurrenceScan, ScanSummary};
 use crate::merge::MergeHeap;
+use crate::parallel::{grow_regions, insert_chunked};
 use crate::params::{ResolvedParams, RpParams};
 use crate::pattern::{canonical_order, RecurringPattern};
 use crate::rplist::RpList;
@@ -373,32 +374,9 @@ impl RpGrowth {
     /// Mines all recurring patterns of `db`.
     pub fn mine(&self, db: &TransactionDb) -> MiningResult {
         let params = self.params.resolve(db.len());
-        mine_resolved_impl(db, params)
+        let list = RpList::build(db, params);
+        mine_list(db, &list, params, 1, &RunControl::new(), &NOOP, &mut MineScratch::new()).0
     }
-}
-
-pub(crate) fn mine_resolved_impl(db: &TransactionDb, params: ResolvedParams) -> MiningResult {
-    let list = RpList::build(db, params);
-    mine_with_list_impl(db, &list, params)
-}
-
-pub(crate) fn mine_with_list_impl(
-    db: &TransactionDb,
-    list: &RpList,
-    params: ResolvedParams,
-) -> MiningResult {
-    mine_with_scratch_impl(db, list, params, &mut MineScratch::new())
-}
-
-pub(crate) fn mine_with_scratch_impl(
-    db: &TransactionDb,
-    list: &RpList,
-    params: ResolvedParams,
-    scratch: &mut MineScratch,
-) -> MiningResult {
-    let done = AtomicUsize::new(0);
-    let mut exec = Exec::unlimited(&done, list.len());
-    mine_engine(db, list, params, scratch, &mut exec).0
 }
 
 /// The per-run execution context threaded through the recursion: the
@@ -411,13 +389,7 @@ pub(crate) struct Exec<'e> {
     pub(crate) total: usize,
 }
 
-impl<'e> Exec<'e> {
-    /// An uncontrolled, unobserved context — what the classic entry points
-    /// run under.
-    pub(crate) fn unlimited(done: &'e AtomicUsize, total: usize) -> Exec<'e> {
-        Exec { probe: ControlProbe::unlimited(), observer: &NOOP, done, total }
-    }
-
+impl Exec<'_> {
     /// Reports one completed suffix region and the candidates it explored.
     pub(crate) fn suffix_done(&self, candidates_delta: usize) {
         let d = self.done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -428,18 +400,26 @@ impl<'e> Exec<'e> {
     }
 }
 
-/// The engine-facing pipeline: like the classic full run but interruptible
-/// via `exec`'s probe and observable via its hooks. Returns the (possibly
-/// partial) result plus the abort reason when a limit tripped. Partial
-/// results are always sound: every emitted pattern passed the full
-/// recurrence test before the run stopped.
-pub(crate) fn mine_engine(
+/// The one RP-growth pipeline behind every miner: tree construction over
+/// the RP-list `list` (Algorithm 2), then pattern growth (Algorithm 4).
+/// With `threads > 1` the projection pass is chunked across workers and
+/// growth runs on the work-stealing regions of [`crate::parallel`]; with
+/// one worker the sequential recursion mines the tree directly. The output
+/// is identical either way. The run is interruptible through `control`
+/// and observable through `observer`; it returns the (possibly partial)
+/// result plus the abort reason when a limit tripped. Partial results are
+/// always sound: every emitted pattern passed the full recurrence test
+/// before the run stopped.
+pub(crate) fn mine_list(
     db: &TransactionDb,
     list: &RpList,
     params: ResolvedParams,
+    threads: usize,
+    control: &RunControl,
+    observer: &dyn Observer,
     scratch: &mut MineScratch,
-    exec: &mut Exec<'_>,
 ) -> (MiningResult, Option<AbortReason>) {
+    let threads = threads.max(1);
     let mut stats = MiningStats {
         candidate_items: list.len(),
         scanned_items: list.scanned_items(),
@@ -450,26 +430,49 @@ pub(crate) fn mine_engine(
     }
 
     // Second scan: insert candidate projections (Algorithm 2).
-    exec.observer.on_phase(Phase::TreeBuild);
+    observer.on_phase(Phase::TreeBuild);
     let mut tree = scratch.take_tree(list.len());
-    for t in db.transactions() {
-        list.project_into(t.items(), &mut scratch.ranks);
-        if !scratch.ranks.is_empty() {
-            tree.insert(&scratch.ranks, t.timestamp());
+    if threads == 1 || db.len() < 2 * threads {
+        for t in db.transactions() {
+            list.project_into(t.items(), &mut scratch.ranks);
+            if !scratch.ranks.is_empty() {
+                tree.insert(&scratch.ranks, t.timestamp());
+            }
         }
+    } else {
+        insert_chunked(db, list, threads, &mut tree);
     }
     stats.tree_nodes += tree.node_count();
 
-    exec.observer.on_phase(Phase::Growth);
-    let mut patterns = Vec::new();
-    let mut suffix: Vec<ItemId> = Vec::new();
-    let aborted =
-        grow(&mut tree, list, params, &mut suffix, &mut patterns, &mut stats, scratch, exec, true);
-    scratch.recycle(tree);
+    observer.on_phase(Phase::Growth);
+    let (mut patterns, reason) = if threads == 1 {
+        // A single worker gains nothing from the immutable-tree regions (it
+        // would re-merge subtrees the push-ups get almost for free), so the
+        // sequential recursion mines the tree in place.
+        let mut patterns = Vec::new();
+        let done = AtomicUsize::new(0);
+        let mut exec = Exec { probe: control.start(), observer, done: &done, total: list.len() };
+        let aborted = grow(
+            &mut tree,
+            list,
+            params,
+            &mut Vec::new(),
+            &mut patterns,
+            &mut stats,
+            scratch,
+            &mut exec,
+            true,
+        );
+        scratch.recycle(tree);
+        stats.scratch_bytes_peak = scratch.footprint_bytes();
+        (patterns, if aborted { exec.probe.tripped() } else { None })
+    } else {
+        let mined = grow_regions(&tree, list, params, threads, control, observer, &mut stats);
+        scratch.recycle(tree);
+        mined
+    };
     canonical_order(&mut patterns);
     stats.patterns_found = patterns.len();
-    stats.scratch_bytes_peak = scratch.footprint_bytes();
-    let reason = if aborted { exec.probe.tripped() } else { None };
     (MiningResult { patterns, stats }, reason)
 }
 
@@ -695,7 +698,7 @@ mod tests {
         // recomputation on the database.
         let db = running_example_db();
         let params = ResolvedParams::new(2, 3, 2);
-        let res = mine_resolved_impl(&db, params);
+        let res = RpGrowth::new(RpParams::new(2, 3, 2)).mine(&db);
         for p in &res.patterns {
             let ts = db.timestamps_of(&p.items);
             assert_eq!(ts.len(), p.support);
@@ -710,18 +713,50 @@ mod tests {
         // One warm scratch across many runs (different databases and
         // parameters) must produce byte-identical output to cold runs —
         // the regression test for stale scratch state.
-        let db = running_example_db();
+        use rpm_timeseries::prng::Pcg32;
+        let mut cases: Vec<(TransactionDb, ResolvedParams)> =
+            [(2, 3, 2), (1, 1, 1), (2, 3, 1), (3, 2, 2), (2, 3, 2)]
+                .into_iter()
+                .map(|(per, min_ps, min_rec)| {
+                    (running_example_db(), ResolvedParams::new(per, min_ps, min_rec))
+                })
+                .collect();
+        // Twenty seeded databases of varied width, length and density.
+        let mut rng = Pcg32::seed_from_u64(20);
+        for _ in 0..20 {
+            let width = rng.random_range(4..14usize);
+            let density = 0.15 + 0.5 * rng.random_f64();
+            let mut b = TransactionDb::builder();
+            for ts in 0..rng.random_range(40..240i64) {
+                let labels: Vec<String> = (0..width)
+                    .filter(|_| rng.random_f64() < density)
+                    .map(|i| format!("i{i}"))
+                    .collect();
+                let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
+                if !refs.is_empty() {
+                    b.add_labeled(ts, &refs);
+                }
+            }
+            let params = ResolvedParams::new(
+                rng.random_range(1..5i64),
+                rng.random_range(1..6usize),
+                rng.random_range(1..4usize),
+            );
+            cases.push((b.build(), params));
+        }
         let mut scratch = MineScratch::new();
-        for (per, min_ps, min_rec) in [(2, 3, 2), (1, 1, 1), (2, 3, 1), (3, 2, 2), (2, 3, 2)] {
-            let params = ResolvedParams::new(per, min_ps, min_rec);
-            let list = RpList::build(&db, params);
-            let warm = mine_with_scratch_impl(&db, &list, params, &mut scratch);
-            let cold = mine_with_list_impl(&db, &list, params);
-            assert_eq!(warm.patterns, cold.patterns, "params {params:?}");
+        for (case, (db, params)) in cases.iter().enumerate() {
+            let list = RpList::build(db, *params);
+            let mine = |scratch: &mut MineScratch| {
+                mine_list(db, &list, *params, 1, &RunControl::new(), &NOOP, scratch).0
+            };
+            let warm = mine(&mut scratch);
+            let cold = mine(&mut MineScratch::new());
+            assert_eq!(warm.patterns, cold.patterns, "case {case} params {params:?}");
             assert_eq!(
                 warm.stats.normalized(),
                 cold.stats.normalized(),
-                "stats diverged for {params:?}"
+                "stats diverged for case {case} params {params:?}"
             );
         }
     }

@@ -1,6 +1,6 @@
 //! Incremental mining over an append-only stream — the "incremental, online
 //! … mining of partial periodic patterns" direction of Aref et al. (IEEE
-//! TKDE 2004, the paper's reference [12]) transplanted to the recurring-
+//! TKDE 2004, the paper's reference \[12\]) transplanted to the recurring-
 //! pattern model.
 //!
 //! [`IncrementalMiner`] ingests transactions in timestamp order and
@@ -8,11 +8,15 @@
 //! Algorithm 1 keeps during its batch scan ([`IntervalScan`]). A call to
 //! [`IncrementalMiner::mine`] therefore skips RP-growth's first database
 //! pass entirely: the RP-list is materialised from the live scanners and
-//! only the tree construction and growth run over the stored transactions.
+//! handed to the batch miner's pipeline, so only the tree construction and
+//! growth run over the stored transactions. The delta miner's full
+//! fallback ([`crate::delta`]) builds its list the same way.
 
-use rpm_timeseries::{ItemId, Timestamp, TransactionDb};
+use rpm_timeseries::{fnv1a, ItemId, Timestamp, TransactionDb, FNV1A_OFFSET};
 
-use crate::growth::{mine_with_scratch_impl, MineScratch, MiningResult};
+use crate::engine::observer::NOOP;
+use crate::engine::RunControl;
+use crate::growth::{mine_list, MineScratch, MiningResult};
 use crate::measures::IntervalScan;
 use crate::params::ResolvedParams;
 use crate::rplist::RpList;
@@ -56,21 +60,10 @@ pub struct IncrementalMiner {
     prefix_hashes: Vec<u64>,
 }
 
-/// FNV-1a offset basis — the chained-hash seed for an empty prefix.
-const PREFIX_HASH_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds one transaction into a chained FNV-1a prefix hash.
-fn chain_tx_hash(mut h: u64, ts: Timestamp, items: &[ItemId]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    for b in ts.to_le_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-    }
-    for item in items {
-        for b in item.0.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-        }
-    }
-    h
+/// Folds one transaction into a chained FNV-1a prefix hash (seeded with
+/// [`FNV1A_OFFSET`] for the empty prefix).
+fn chain_tx_hash(h: u64, ts: Timestamp, items: &[ItemId]) -> u64 {
+    items.iter().fold(fnv1a(h, &ts.to_le_bytes()), |h, item| fnv1a(h, &item.0.to_le_bytes()))
 }
 
 impl IncrementalMiner {
@@ -162,7 +155,7 @@ impl IncrementalMiner {
         }
         // A same-timestamp merge rewrites the boundary transaction, so its
         // chained hash is recomputed from the immutable prefix either way.
-        let base = if tx == 0 { PREFIX_HASH_SEED } else { self.prefix_hashes[tx as usize - 1] };
+        let base = if tx == 0 { FNV1A_OFFSET } else { self.prefix_hashes[tx as usize - 1] };
         let t = self.db.transaction(tx as usize);
         let h = chain_tx_hash(base, t.timestamp(), t.items());
         if self.db.len() == before {
@@ -182,7 +175,7 @@ impl IncrementalMiner {
     /// Chained content hash of the first `len` transactions, O(1).
     pub(crate) fn prefix_hash_at(&self, len: usize) -> u64 {
         if len == 0 {
-            PREFIX_HASH_SEED
+            FNV1A_OFFSET
         } else {
             self.prefix_hashes[len - 1]
         }
@@ -194,49 +187,25 @@ impl IncrementalMiner {
         self.scans.get(item.index()).map(|s| s.clone().finish())
     }
 
+    /// The RP-list of the whole accumulated stream, materialised from the
+    /// live per-item scanners instead of a first database scan.
+    pub(crate) fn live_list(&self) -> RpList {
+        let summaries = self
+            .scans
+            .iter()
+            .enumerate()
+            .map(|(i, scan)| (ItemId(i as u32), scan.clone().finish()));
+        RpList::from_summaries(summaries, self.db.item_count(), self.params.min_rec)
+    }
+
     /// Mines the recurring patterns of everything ingested so far. The
     /// RP-list comes from the live per-item scanners (no first scan); tree
     /// construction and growth run as in the batch miner, so the output is
-    /// identical to `mine_resolved(self.db(), self.params())`.
+    /// identical to a [`crate::RpGrowth`] mine of [`IncrementalMiner::db`].
     pub fn mine(&self) -> MiningResult {
-        self.mine_with_scratch(&mut MineScratch::new())
-    }
-
-    /// Like [`IncrementalMiner::mine`], reusing a caller-held
-    /// [`MineScratch`] so that periodic re-mining of a growing stream skips
-    /// the warm-up allocations (buffers, merge heaps, tree arenas) of
-    /// previous runs.
-    pub fn mine_with_scratch(&self, scratch: &mut MineScratch) -> MiningResult {
-        let summaries = self
-            .scans
-            .iter()
-            .enumerate()
-            .map(|(i, scan)| (ItemId(i as u32), scan.clone().finish()));
-        let list = RpList::from_summaries(summaries, self.db.item_count(), self.params.min_rec);
-        mine_with_scratch_impl(&self.db, &list, self.params, scratch)
-    }
-
-    /// Like [`IncrementalMiner::mine`], under engine control: re-mining a
-    /// live stream obeys `control`'s limits and reports a sound partial
-    /// result (with the trip reason) when one fires — the shape interactive
-    /// re-mining needs when a hostile threshold makes a refresh explode.
-    pub fn mine_controlled(
-        &self,
-        control: &crate::engine::RunControl,
-        scratch: &mut MineScratch,
-    ) -> (MiningResult, Option<crate::engine::AbortReason>) {
-        use crate::engine::observer::NOOP;
-        use crate::growth::{mine_engine, Exec};
-        let summaries = self
-            .scans
-            .iter()
-            .enumerate()
-            .map(|(i, scan)| (ItemId(i as u32), scan.clone().finish()));
-        let list = RpList::from_summaries(summaries, self.db.item_count(), self.params.min_rec);
-        let done = std::sync::atomic::AtomicUsize::new(0);
-        let mut exec =
-            Exec { probe: control.start(), observer: &NOOP, done: &done, total: list.len() };
-        mine_engine(&self.db, &list, self.params, scratch, &mut exec)
+        let list = self.live_list();
+        let control = RunControl::new();
+        mine_list(&self.db, &list, self.params, 1, &control, &NOOP, &mut MineScratch::new()).0
     }
 }
 
@@ -266,24 +235,6 @@ mod tests {
         let batch = mine_resolved(miner.db(), params);
         assert_eq!(incremental.patterns, batch.patterns);
         assert_eq!(incremental.patterns.len(), 8); // Table 2
-    }
-
-    #[test]
-    fn warm_scratch_matches_fresh_mine_across_stream_growth() {
-        // One scratch across re-mines of a growing stream — the intended
-        // periodic-re-mining usage — must match cold runs exactly.
-        let oracle_db = running_example_db();
-        let params = ResolvedParams::new(2, 3, 2);
-        let mut miner = IncrementalMiner::new(params);
-        let mut scratch = MineScratch::new();
-        for t in oracle_db.transactions() {
-            let labels: Vec<&str> = t.items().iter().map(|&i| oracle_db.items().label(i)).collect();
-            miner.append(t.timestamp(), &labels).unwrap();
-            let warm = miner.mine_with_scratch(&mut scratch);
-            let cold = miner.mine();
-            assert_eq!(warm.patterns, cold.patterns, "after ts {}", t.timestamp());
-            assert_eq!(warm.stats.normalized(), cold.stats.normalized());
-        }
     }
 
     #[test]

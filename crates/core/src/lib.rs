@@ -76,7 +76,6 @@ pub use measures::{
 };
 pub use merge::MergeHeap;
 pub use naive::{apriori_rp, apriori_support_only, brute_force, AprioriStats};
-pub use parallel::mine_parallel;
 pub use params::{ResolvedParams, RpParams, Threshold};
 pub use pattern::{canonical_order, PeriodicInterval, RecurringPattern};
 pub use relaxed::{get_relaxed_recurrence, mine_relaxed, relaxed_intervals, NoiseParams};
@@ -84,5 +83,5 @@ pub use rplist::{RpList, RpListEntry};
 pub use rules::{generate_rules, RecurringRule};
 pub use spectrum::{rec_at, recurrence_spectrum, SpectrumStep};
 pub use summary::{summarize, PatternSetSummary};
-pub use topk::{mine_top_k, top_k, RankBy};
+pub use topk::{top_k, RankBy};
 pub use verify::{verify_all, verify_pattern, VerifyError};

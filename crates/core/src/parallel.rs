@@ -3,10 +3,10 @@
 //!
 //! After the RP-list scan, the pattern space splits into disjoint regions —
 //! all patterns whose **lowest-ranked** (least frequent) item is `r`. One
-//! global RP-tree is built (its projection pass chunked across threads, the
-//! inserts replayed in transaction order so the tree is bit-identical to the
-//! sequential one), then each region is derived from the immutable tree with
-//! no locking:
+//! global RP-tree is built (its projection pass chunked across threads by
+//! `insert_chunked`, the inserts replayed in transaction order so the tree
+//! is bit-identical to the sequential one), then `grow_regions` derives
+//! each region from the immutable tree with no locking:
 //!
 //! * the singleton `TS^r` is a k-way merge over the ts-lists of all nodes in
 //!   the subtrees of `r`'s node-links — exactly the list the sequential
@@ -22,32 +22,27 @@
 //! behind a static partition. Each worker owns a [`MineScratch`], so the
 //! hot path stays allocation-free per worker.
 //!
-//! The output — patterns **and** the algorithmic counters of
-//! [`MiningStats`] (see [`MiningStats::normalized`]) — is exactly
-//! [`crate::growth::mine_resolved`]'s, asserted across thread counts by
-//! `tests/parallel_equivalence.rs`; only the execution strategy differs.
-//! The paper evaluates a single-threaded implementation, so this module is
-//! an engineering extension, benchmarked in `rpm-bench`'s `hotpath` binary.
+//! Both helpers are stages of the one pipeline, `growth::mine_list`, which
+//! runs them whenever a miner is given more than one thread. The output —
+//! patterns **and** the algorithmic counters of [`MiningStats`] (see
+//! [`MiningStats::normalized`]) — is exactly the sequential recursion's,
+//! asserted across thread counts by `tests/parallel_equivalence.rs`; only
+//! the execution strategy differs. The paper evaluates a single-threaded
+//! implementation, so this module is an engineering extension, benchmarked
+//! in `rpm-bench`'s `hotpath` binary.
 
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 
 use rpm_timeseries::{ItemId, Timestamp, TransactionDb};
 
 use crate::engine::control::{AbortReason, RunControl};
-use crate::engine::observer::{Observer, Phase, NOOP};
-use crate::growth::{grow, Exec, MineScratch, MiningResult, MiningStats, PathBounds};
+use crate::engine::observer::Observer;
+use crate::growth::{grow, Exec, MineScratch, MiningStats, PathBounds};
 use crate::measures::ScanSummary;
 use crate::params::ResolvedParams;
-use crate::pattern::{canonical_order, RecurringPattern};
+use crate::pattern::RecurringPattern;
 use crate::rplist::RpList;
 use crate::tree::{TsTree, ROOT};
-
-/// Mines `db` using up to `threads` worker threads (clamped to at least 1).
-/// Output is identical to the sequential miner's, including the algorithmic
-/// [`MiningStats`] counters.
-pub fn mine_parallel(db: &TransactionDb, params: ResolvedParams, threads: usize) -> MiningResult {
-    mine_parallel_engine(db, params, threads, &RunControl::new(), &NOOP).0
-}
 
 /// First-win slot for the abort reason of a parallel run: whichever worker
 /// trips a limit first records why; siblings observing the shared halt flag
@@ -79,113 +74,62 @@ impl AbortCell {
     }
 }
 
-/// The engine-facing parallel pipeline: [`mine_parallel`] plus cooperative
-/// interruption and observer hooks. Workers poll the shared control between
-/// stolen regions *and* at every candidate boundary inside a region; the
-/// first to trip raises a shared halt flag so siblings stop within one
-/// candidate as well. Returns the (possibly partial) result and the abort
-/// reason when a limit tripped.
-pub(crate) fn mine_parallel_engine(
-    db: &TransactionDb,
+/// The second scan (Algorithm 2), chunked: `threads` workers project
+/// disjoint transaction ranges into flat rank buffers, then the inserts
+/// are replayed into `tree` in transaction order, so the tree is
+/// bit-identical to the sequential build, which the region derivation of
+/// [`grow_regions`] relies on.
+pub(crate) fn insert_chunked(db: &TransactionDb, list: &RpList, threads: usize, tree: &mut TsTree) {
+    let nt = db.len();
+    let chunk = nt.div_ceil(threads);
+    type Projected = (Vec<u32>, Vec<(u32, u32, Timestamp)>);
+    let parts: Vec<Projected> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|w| {
+                scope.spawn(move || {
+                    let lo = w * chunk;
+                    let hi = nt.min(lo + chunk);
+                    let mut flat: Vec<u32> = Vec::new();
+                    let mut rows: Vec<(u32, u32, Timestamp)> = Vec::new();
+                    let mut ranks: Vec<u32> = Vec::new();
+                    for i in lo..hi {
+                        let t = db.transaction(i);
+                        list.project_into(t.items(), &mut ranks);
+                        if !ranks.is_empty() {
+                            let s0 = flat.len() as u32;
+                            flat.extend_from_slice(&ranks);
+                            rows.push((s0, flat.len() as u32, t.timestamp()));
+                        }
+                    }
+                    (flat, rows)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("projection worker panicked")).collect()
+    });
+    for (flat, rows) in &parts {
+        for &(s0, s1, ts) in rows {
+            tree.insert(&flat[s0 as usize..s1 as usize], ts);
+        }
+    }
+}
+
+/// Grows every region of the immutable global `tree` on `threads`
+/// work-stealing workers, folding their counters into `stats`. Workers
+/// poll the shared control between stolen regions *and* at every candidate
+/// boundary inside a region; the first to trip raises a shared halt flag so
+/// siblings stop within one candidate as well. Returns the patterns (not
+/// yet in canonical order) and the abort reason when a limit tripped.
+pub(crate) fn grow_regions(
+    tree: &TsTree,
+    list: &RpList,
     params: ResolvedParams,
     threads: usize,
     control: &RunControl,
     observer: &dyn Observer,
-) -> (MiningResult, Option<AbortReason>) {
-    let threads = threads.max(1);
-    observer.on_phase(Phase::ListScan);
-    let list = RpList::build(db, params);
-    let mut stats = MiningStats {
-        candidate_items: list.len(),
-        scanned_items: list.scanned_items(),
-        ..MiningStats::default()
-    };
-    if list.is_empty() {
-        return (MiningResult { patterns: Vec::new(), stats }, None);
-    }
-    let list = &list;
+    stats: &mut MiningStats,
+) -> (Vec<RecurringPattern>, Option<AbortReason>) {
     let n = list.len();
-    let nt = db.len();
-    observer.on_phase(Phase::TreeBuild);
-
-    // Second scan (Algorithm 2), chunked: workers project disjoint
-    // transaction ranges into flat rank buffers, then the inserts are
-    // replayed in transaction order — the tree is bit-identical to the
-    // sequential build, which the region derivation below relies on.
-    let mut tree = TsTree::new(n);
-    if threads == 1 || nt < 2 * threads {
-        let mut ranks: Vec<u32> = Vec::new();
-        for t in db.transactions() {
-            list.project_into(t.items(), &mut ranks);
-            if !ranks.is_empty() {
-                tree.insert(&ranks, t.timestamp());
-            }
-        }
-    } else {
-        let chunk = nt.div_ceil(threads);
-        type Projected = (Vec<u32>, Vec<(u32, u32, Timestamp)>);
-        let parts: Vec<Projected> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let lo = w * chunk;
-                        let hi = nt.min(lo + chunk);
-                        let mut flat: Vec<u32> = Vec::new();
-                        let mut rows: Vec<(u32, u32, Timestamp)> = Vec::new();
-                        let mut ranks: Vec<u32> = Vec::new();
-                        for i in lo..hi {
-                            let t = db.transaction(i);
-                            list.project_into(t.items(), &mut ranks);
-                            if !ranks.is_empty() {
-                                let s0 = flat.len() as u32;
-                                flat.extend_from_slice(&ranks);
-                                rows.push((s0, flat.len() as u32, t.timestamp()));
-                            }
-                        }
-                        (flat, rows)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("projection worker panicked")).collect()
-        });
-        for (flat, rows) in &parts {
-            for &(s0, s1, ts) in rows {
-                tree.insert(&flat[s0 as usize..s1 as usize], ts);
-            }
-        }
-    }
-    stats.tree_nodes += tree.node_count();
-
-    // A single worker gains nothing from the immutable-tree region
-    // derivation below (it re-merges subtrees the sequential push-ups get
-    // almost for free), so mine the tree directly with the sequential
-    // recursion — the output is identical either way.
-    if threads == 1 {
-        observer.on_phase(Phase::Growth);
-        let mut scratch = MineScratch::new();
-        let mut suffix: Vec<ItemId> = Vec::new();
-        let mut patterns = Vec::new();
-        let done = AtomicUsize::new(0);
-        let mut exec = Exec { probe: control.start(), observer, done: &done, total: n };
-        let aborted = grow(
-            &mut tree,
-            list,
-            params,
-            &mut suffix,
-            &mut patterns,
-            &mut stats,
-            &mut scratch,
-            &mut exec,
-            true,
-        );
-        scratch.recycle(tree);
-        stats.scratch_bytes_peak = scratch.footprint_bytes();
-        canonical_order(&mut patterns);
-        stats.patterns_found = patterns.len();
-        let reason = if aborted { exec.probe.tripped() } else { None };
-        return (MiningResult { patterns, stats }, reason);
-    }
-
     // Largest-regions-first queue: support(r) bounds the region's total
     // ts volume and the rank bounds its recursion width, so their product
     // is a cheap work estimate. Workers claim regions through a shared
@@ -194,10 +138,8 @@ pub(crate) fn mine_parallel_engine(
     order.sort_by_key(|&r| {
         std::cmp::Reverse(list.candidates()[r as usize].support as u64 * (r as u64 + 1))
     });
-    observer.on_phase(Phase::Growth);
     let order = &order;
     let cursor = &AtomicUsize::new(0);
-    let tree_ref = &tree;
     let halt = &AtomicBool::new(false);
     let abort_cell = &AbortCell::new();
     let done = &AtomicUsize::new(0);
@@ -232,7 +174,7 @@ pub(crate) fn mine_parallel_engine(
                         let before = local.candidates_checked;
                         let aborted = mine_region(
                             order[i],
-                            tree_ref,
+                            tree,
                             list,
                             params,
                             &mut scratch,
@@ -261,11 +203,9 @@ pub(crate) fn mine_parallel_engine(
     let mut patterns = Vec::new();
     for (mut out, local) in results {
         patterns.append(&mut out);
-        merge_stats(&mut stats, &local);
+        merge_stats(stats, &local);
     }
-    canonical_order(&mut patterns);
-    stats.patterns_found = patterns.len();
-    (MiningResult { patterns, stats }, abort_cell.get())
+    (patterns, abort_cell.get())
 }
 
 /// Mines one region — the patterns whose lowest-ranked item is `r` — from
@@ -398,16 +338,22 @@ fn merge_stats(into: &mut MiningStats, from: &MiningStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::growth::mine_resolved_impl as mine_resolved;
+    use crate::engine::MiningSession;
+    use crate::growth::MiningResult;
     use rpm_timeseries::running_example_db;
+
+    fn mine(db: &TransactionDb, params: ResolvedParams, threads: usize) -> MiningResult {
+        let session = MiningSession::builder().resolved(params).threads(threads).build().unwrap();
+        session.mine(db).unwrap().into_result()
+    }
 
     #[test]
     fn matches_sequential_on_running_example() {
         let db = running_example_db();
         let params = ResolvedParams::new(2, 3, 2);
-        let seq = mine_resolved(&db, params);
-        for threads in [1, 2, 4, 8] {
-            let par = mine_parallel(&db, params, threads);
+        let seq = mine(&db, params, 1);
+        for threads in [2, 4, 8] {
+            let par = mine(&db, params, threads);
             assert_eq!(par.patterns, seq.patterns, "threads={threads}");
             assert_eq!(
                 par.stats.normalized(),
@@ -437,8 +383,8 @@ mod tests {
                 rng.random_range(2..5usize),
                 rng.random_range(1..3usize),
             );
-            let par = mine_parallel(&db, params, 4);
-            let seq = mine_resolved(&db, params);
+            let par = mine(&db, params, 4);
+            let seq = mine(&db, params, 1);
             assert_eq!(par.patterns, seq.patterns, "case {case} params {params:?}");
             assert_eq!(
                 par.stats.normalized(),
@@ -450,24 +396,20 @@ mod tests {
 
     #[test]
     fn zero_threads_clamps_to_one() {
+        use crate::engine::observer::NOOP;
+        use crate::growth::mine_list;
         let db = running_example_db();
         let params = ResolvedParams::new(2, 3, 2);
-        let par = mine_parallel(&db, params, 0);
+        let list = RpList::build(&db, params);
+        let control = RunControl::new();
+        let (par, _) = mine_list(&db, &list, params, 0, &control, &NOOP, &mut MineScratch::new());
         assert_eq!(par.patterns.len(), 8);
-    }
-
-    #[test]
-    fn empty_db() {
-        let db = TransactionDb::builder().build();
-        let par = mine_parallel(&db, ResolvedParams::new(1, 1, 1), 4);
-        assert!(par.patterns.is_empty());
     }
 
     #[test]
     fn stats_aggregate_across_workers() {
         let db = running_example_db();
-        let params = ResolvedParams::new(2, 3, 2);
-        let par = mine_parallel(&db, params, 3);
+        let par = mine(&db, ResolvedParams::new(2, 3, 2), 3);
         assert_eq!(par.stats.patterns_found, 8);
         assert_eq!(par.stats.candidate_items, 6);
         assert!(par.stats.candidates_checked >= 6);
@@ -477,7 +419,7 @@ mod tests {
     #[test]
     fn single_thread_steals_nothing() {
         let db = running_example_db();
-        let par = mine_parallel(&db, ResolvedParams::new(2, 3, 2), 1);
-        assert_eq!(par.stats.regions_stolen, 0);
+        let seq = mine(&db, ResolvedParams::new(2, 3, 2), 1);
+        assert_eq!(seq.stats.regions_stolen, 0);
     }
 }

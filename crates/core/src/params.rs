@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use rpm_timeseries::Timestamp;
+use rpm_timeseries::{fnv1a, Timestamp, FNV1A_OFFSET};
 
 use crate::engine::MiningError;
 
@@ -213,20 +213,13 @@ impl ResolvedParams {
     /// correlation; exact caches should key on the struct itself (`Eq` +
     /// `Hash`), which cannot collide at all.
     pub fn cache_key(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        for bytes in [
+        [
             self.per.to_le_bytes(),
             (self.min_ps as u64).to_le_bytes(),
             (self.min_rec as u64).to_le_bytes(),
-        ] {
-            for byte in bytes {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        }
-        hash
+        ]
+        .iter()
+        .fold(FNV1A_OFFSET, |hash, bytes| fnv1a(hash, bytes))
     }
 }
 
@@ -281,7 +274,8 @@ mod tests {
     #[test]
     fn cache_key_distinguishes_every_field() {
         let base = ResolvedParams::new(2, 3, 2);
-        assert_eq!(base.cache_key(), ResolvedParams::new(2, 3, 2).cache_key());
+        // Served as `X-Rpm-Cache-Key`: the value is part of the wire format.
+        assert_eq!(base.cache_key(), 0x201c_df08_57af_4346);
         for other in [
             ResolvedParams::new(3, 3, 2),
             ResolvedParams::new(2, 4, 2),

@@ -4,10 +4,6 @@
 //! want "the strongest k". This module ranks a mining result by a chosen
 //! interestingness key, breaking ties deterministically by (length, items).
 
-use rpm_timeseries::TransactionDb;
-
-use crate::growth::RpGrowth;
-use crate::params::RpParams;
 use crate::pattern::RecurringPattern;
 
 /// Ranking keys for top-k selection.
@@ -49,39 +45,11 @@ pub fn top_k(patterns: &[RecurringPattern], k: usize, rank: RankBy) -> Vec<Recur
     ranked.into_iter().take(k).cloned().collect()
 }
 
-/// Mines `db` and returns its top `k` recurring patterns — a convenience
-/// wrapper for the common query shape.
-pub fn mine_top_k(
-    db: &TransactionDb,
-    params: RpParams,
-    k: usize,
-    rank: RankBy,
-) -> Vec<RecurringPattern> {
-    let result = RpGrowth::new(params).mine(db);
-    top_k(&result.patterns, k, rank)
-}
-
-/// [`mine_top_k`] under engine control: the run obeys `control`'s
-/// cancellation/deadline/budget limits and reports whether (and why) it was
-/// cut short — the top `k` of a partial run ranks only what was mined.
-pub fn mine_top_k_controlled(
-    db: &TransactionDb,
-    params: RpParams,
-    k: usize,
-    rank: RankBy,
-    control: &crate::engine::RunControl,
-) -> Result<(Vec<RecurringPattern>, Option<crate::engine::AbortReason>), crate::engine::MiningError>
-{
-    let session =
-        crate::engine::MiningSession::builder().params(params).control(control.clone()).build()?;
-    let outcome = session.mine(db)?;
-    let reason = outcome.abort_reason();
-    Ok((top_k(&outcome.into_result().patterns, k, rank), reason))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::growth::RpGrowth;
+    use crate::params::RpParams;
     use rpm_timeseries::running_example_db;
 
     fn mined() -> (rpm_timeseries::TransactionDb, Vec<RecurringPattern>) {
@@ -123,14 +91,6 @@ mod tests {
         assert_eq!(top.len(), patterns.len());
         let keys: Vec<usize> = top.iter().map(|p| p.recurrence()).collect();
         assert!(keys.windows(2).all(|w| w[0] >= w[1]));
-    }
-
-    #[test]
-    fn mine_top_k_end_to_end() {
-        let db = running_example_db();
-        let top = mine_top_k(&db, RpParams::new(2, 3, 2), 2, RankBy::Support);
-        assert_eq!(top.len(), 2);
-        assert!(top[0].support >= top[1].support);
     }
 
     #[test]

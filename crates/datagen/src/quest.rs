@@ -1,5 +1,5 @@
 //! Re-implementation of the IBM Quest synthetic transaction generator
-//! (Agrawal & Srikant's procedure, cited by the paper as "[23]"), used to
+//! (Agrawal & Srikant's procedure, cited by the paper as "\[23\]"), used to
 //! produce the `T10I4D100K` database of the evaluation (§5.1): 100,000
 //! transactions over 941 distinct items, average transaction size 10,
 //! average potential-itemset size 4.

@@ -21,7 +21,7 @@ pub struct FileCtx {
     /// Crate allowlisted to omit `#![forbid(unsafe_code)]`.
     pub unsafe_allowlisted: bool,
     /// A file under `crates/server/src/` that is missing from
-    /// [`SERVER_PINNED`]: it still gets the serving-layer rules (the safe
+    /// `SERVER_PINNED`: it still gets the serving-layer rules (the safe
     /// default), and `lint-config-unclassified` flags it so the pin table
     /// cannot silently drift when new modules are added (PR 8 had to
     /// hand-pin `replica/` after the fact — this makes the omission loud).

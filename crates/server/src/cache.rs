@@ -33,7 +33,10 @@ pub struct CachedResult {
 
 impl CachedResult {
     /// Creates an entry; the index is built on first [`CachedResult::index`].
-    pub fn new(body: Vec<u8>, patterns: Vec<RecurringPattern>) -> Self {
+    /// The body is trimmed to its length, so the cache holds exactly the
+    /// bytes its budget charges for.
+    pub fn new(mut body: Vec<u8>, patterns: Vec<RecurringPattern>) -> Self {
+        body.shrink_to_fit();
         Self { body: Arc::new(body), patterns: Arc::new(patterns), index: OnceLock::new() }
     }
 
@@ -342,6 +345,14 @@ mod tests {
         cache.insert(1, params(1), entry(200));
         assert_eq!(cache.stats().entries, 1);
         assert_eq!(cache.get(1, params(1)).unwrap().body.len(), 200);
+    }
+
+    #[test]
+    fn bodies_are_stored_exact_size() {
+        let mut body = Vec::with_capacity(4096);
+        body.extend_from_slice(b"{}\n");
+        let entry = CachedResult::new(body, Vec::new());
+        assert_eq!(entry.body.capacity(), entry.body.len());
     }
 
     #[test]

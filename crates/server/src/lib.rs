@@ -26,10 +26,9 @@
 //!
 //! # Endpoints (`/v1`)
 //!
-//! The API surface is versioned under `/v1/…`. The original unversioned
-//! paths still work for one release but are deprecated: they answer with a
-//! `Deprecation: true` header. Every non-2xx response carries a uniform
-//! JSON envelope `{"error":{"code":…,"message":…}}`.
+//! The API surface is versioned under `/v1/…`; any other path answers
+//! `404`. Every non-2xx response carries a uniform JSON envelope
+//! `{"error":{"code":…,"message":…}}`.
 //!
 //! | Method & path                      | Effect |
 //! |------------------------------------|--------|
@@ -84,7 +83,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pool::ConnQueue;
-use rpm_core::engine::{CancelToken, MetricsCollector, MiningSession, RunControl};
+use rpm_core::engine::{AbortReason, CancelToken, MiningSession, RunControl};
 use rpm_core::growth::MineScratch;
 use rpm_core::params::{ResolvedParams, RpParams, Threshold};
 use rpm_core::pattern::RecurringPattern;
@@ -394,25 +393,13 @@ fn handle_connection(shared: &Shared, stream: &mut TcpStream) {
 }
 
 fn route(shared: &Shared, req: &Request) -> Response {
+    let no_route =
+        || Response::json(404, error_body("not_found", &format!("no route for {}", req.path)));
     let segments = req.segments();
-    // `/v1/...` is the supported surface; bare paths are deprecated
-    // aliases kept for one release and flagged via the `Deprecation`
-    // header (RFC 9745 style) on every answer.
-    let (versioned, tail) = match segments.split_first() {
-        Some((first, rest)) if *first == "v1" => (true, rest),
-        _ => (false, segments.as_slice()),
+    // Every route lives under `/v1`; any other path is unknown.
+    let Some((&"v1", segments)) = segments.split_first() else {
+        return no_route();
     };
-    let response = dispatch(shared, req, tail);
-    if versioned {
-        response
-    } else {
-        response
-            .with_header("Deprecation", "true")
-            .with_header("Link", "</v1>; rel=\"successor-version\"")
-    }
-}
-
-fn dispatch(shared: &Shared, req: &Request, segments: &[&str]) -> Response {
     match (req.method.as_str(), segments) {
         ("GET", ["healthz"]) => Response::text(200, "ok\n"),
         ("GET", ["readyz"]) => handle_readyz(shared, req),
@@ -454,7 +441,7 @@ fn dispatch(shared: &Shared, req: &Request, segments: &[&str]) -> Response {
                     ),
                 )
             } else {
-                Response::json(404, error_body("not_found", &format!("no route for {}", req.path)))
+                no_route()
             }
         }
     }
@@ -832,25 +819,6 @@ fn handle_mine(shared: &Shared, name: &str, req: &Request) -> Response {
         None => None,
     };
 
-    // Hold the read lock for the whole mine: appends to *this* dataset wait,
-    // other datasets are untouched.
-    let ds = read_recover(&dataset);
-    let resolved = match resolve_params(req, ds.db().len()) {
-        Ok(p) => p,
-        Err(resp) => return resp,
-    };
-    let fingerprint = ds.fingerprint();
-    let cache_key = fingerprint ^ resolved.cache_key();
-
-    // lint:allow(lock-order): `cache.get` is ResultCache::get, which the name-based resolver also links to Registry::get — the registry map is never touched under the dataset lock; the real dataset -> cache.state order is consistent everywhere
-    if let Some(hit) = shared.cache.get(fingerprint, resolved) {
-        return Response::json(200, hit.body.as_ref().clone())
-            .with_header("X-Rpm-Cache", "hit")
-            .with_header("X-Rpm-Cache-Key", format!("{cache_key:016x}"))
-            .with_header("X-Rpm-Patterns", hit.patterns.len().to_string());
-    }
-
-    ServerMetrics::bump(&shared.metrics.mine_runs);
     let mut control = RunControl::new().with_cancel(shared.cancel.clone());
     if let Some(t) = timeout {
         control = control.with_timeout(t);
@@ -859,6 +827,63 @@ fn handle_mine(shared: &Shared, name: &str, req: &Request) -> Response {
         control = control.with_scratch_budget(bytes);
     }
 
+    // Hold the read lock for the whole mine: appends to *this* dataset wait,
+    // other datasets are untouched.
+    let ds = read_recover(&dataset);
+    let resolved = match resolve_params(req, ds.db().len()) {
+        Ok(p) => p,
+        Err(resp) => return resp,
+    };
+    let cache_key = ds.fingerprint() ^ resolved.cache_key();
+    let with_headers = |response: Response, cache: &str, patterns: usize| {
+        response
+            .with_header("X-Rpm-Cache", cache)
+            .with_header("X-Rpm-Cache-Key", format!("{cache_key:016x}"))
+            .with_header("X-Rpm-Patterns", patterns.to_string())
+    };
+    match lookup_or_mine(shared, &ds, resolved, threads, control) {
+        Ok(Mined::Complete(entry, hit)) => with_headers(
+            Response::json(200, entry.body.as_ref().clone()),
+            if hit { "hit" } else { "miss" },
+            entry.patterns.len(),
+        ),
+        // Partial results are sound but deadline-shaped: report, don't cache.
+        Ok(Mined::Partial { body, patterns, reason }) => {
+            with_headers(Response::json(206, body), "miss", patterns)
+                .with_header("X-Rpm-Abort", reason.to_string())
+        }
+        Err(response) => response,
+    }
+}
+
+/// What [`lookup_or_mine`] answered with.
+enum Mined {
+    /// A complete result: a cache hit (`true`) or a fresh mine, now cached.
+    Complete(Arc<CachedResult>, bool),
+    /// A sound partial result: exported, never cached.
+    Partial { body: Vec<u8>, patterns: usize, reason: AbortReason },
+}
+
+/// The one mine path behind `mine` and `active`: serves `resolved` from the
+/// result cache, or mines it on a miss — through the dataset's pattern
+/// store at its hot parameters, through a [`MiningSession`] otherwise —
+/// folds the run into [`ServerMetrics::absorb_mine`], then exports the
+/// patterns and caches a complete result.
+fn lookup_or_mine(
+    shared: &Shared,
+    ds: &Dataset,
+    resolved: ResolvedParams,
+    threads: usize,
+    control: RunControl,
+) -> Result<Mined, Response> {
+    let fingerprint = ds.fingerprint();
+    // lint:allow(lock-order): `cache.get` is ResultCache::get, which the name-based resolver also links to Registry::get — the registry map is never touched under the dataset lock; the real dataset -> cache.state order is consistent everywhere
+    if let Some(hit) = shared.cache.get(fingerprint, resolved) {
+        return Ok(Mined::Complete(hit, true));
+    }
+    ServerMetrics::bump(&shared.metrics.mine_runs);
+    // lint:allow(no-raw-clock-in-hot-path): per-request wall measurement for metrics, outside the recursion
+    let started = Instant::now();
     let (result, abort) = if resolved == ds.hot_params() {
         // The dataset's live scanners already hold the first-scan summaries
         // for exactly these parameters, and the pattern store may hold the
@@ -866,66 +891,34 @@ fn handle_mine(shared: &Shared, name: &str, req: &Request) -> Response {
         // scan, re-measure only the tail-dirtied candidates (on up to
         // `threads` workers), and splice the clean patterns.
         ServerMetrics::bump(&shared.metrics.mine_fastpath);
-        // lint:allow(no-raw-clock-in-hot-path): per-request wall measurement for metrics, outside the recursion
-        let started = Instant::now();
-        let mut scratch = MineScratch::default();
-        let (result, abort, dstats) = ds.mine_hot_delta(&control, &mut scratch, threads);
+        let (result, abort, dstats) =
+            ds.mine_hot_delta(&control, &mut MineScratch::default(), threads);
         shared.metrics.absorb_delta(&dstats);
-        shared.metrics.absorb_wall(
-            started.elapsed(),
-            result.stats.candidates_checked,
-            result.patterns.len(),
-        );
-        ServerMetrics::bump(if abort.is_some() {
-            &shared.metrics.mine_partial
-        } else {
-            &shared.metrics.mine_complete
-        });
         (result, abort)
     } else {
-        let collector = Arc::new(MetricsCollector::new());
-        let session = match MiningSession::builder()
+        let outcome = MiningSession::builder()
             .resolved(resolved)
             .threads(threads)
             .control(control)
-            .observer(collector.clone())
             .build()
-        {
-            Ok(session) => session,
-            Err(e) => return bad_request(&e.to_string()),
-        };
-        let outcome = match session.mine(ds.db()) {
-            Ok(outcome) => outcome,
-            Err(e) => return bad_request(&e.to_string()),
-        };
-        shared.metrics.absorb_engine(&collector.snapshot());
+            .and_then(|session| session.mine(ds.db()))
+            .map_err(|e| bad_request(&e.to_string()))?;
         let abort = outcome.abort_reason();
         (outcome.into_result(), abort)
     };
-
+    shared.metrics.absorb_mine(started.elapsed(), &result.stats, abort);
     let mut body = Vec::new();
     if write_patterns_json(&mut body, ds.db().items(), &result.patterns).is_err() {
-        return internal_error("serialising patterns failed");
+        return Err(internal_error("serialising patterns failed"));
     }
-    let n_patterns = result.patterns.len();
-    let base = |status: u16, body: Vec<u8>| {
-        Response::json(status, body)
-            .with_header("X-Rpm-Cache", "miss")
-            .with_header("X-Rpm-Cache-Key", format!("{cache_key:016x}"))
-            .with_header("X-Rpm-Patterns", n_patterns.to_string())
-    };
-    match abort {
+    Ok(match abort {
         None => {
-            shared.cache.insert(
-                fingerprint,
-                resolved,
-                Arc::new(CachedResult::new(body.clone(), result.patterns)),
-            );
-            base(200, body)
+            let entry = Arc::new(CachedResult::new(body, result.patterns));
+            shared.cache.insert(fingerprint, resolved, entry.clone());
+            Mined::Complete(entry, false)
         }
-        // Partial results are sound but deadline-shaped: report, don't cache.
-        Some(reason) => base(206, body).with_header("X-Rpm-Abort", reason.to_string()),
-    }
+        Some(reason) => Mined::Partial { body, patterns: result.patterns.len(), reason },
+    })
 }
 
 fn handle_active(shared: &Shared, name: &str, req: &Request) -> Response {
@@ -938,46 +931,19 @@ fn handle_active(shared: &Shared, name: &str, req: &Request) -> Response {
         Ok(p) => p,
         Err(resp) => return resp,
     };
-    let fingerprint = ds.fingerprint();
-
-    // lint:allow(lock-order): `cache.get` is ResultCache::get, which the name-based resolver also links to Registry::get — the registry map is never touched under the dataset lock; the real dataset -> cache.state order is consistent everywhere
-    let (cached, cache_state) = match shared.cache.get(fingerprint, resolved) {
-        Some(hit) => (hit, "hit"),
-        None => {
-            // Mine to completion (no per-request deadline: a partial pattern
-            // set would silently answer stabbing queries wrongly). The
-            // server-wide cancel token still applies.
-            ServerMetrics::bump(&shared.metrics.mine_runs);
-            let collector = Arc::new(MetricsCollector::new());
-            let session = match MiningSession::builder()
-                .resolved(resolved)
-                .control(RunControl::new().with_cancel(shared.cancel.clone()))
-                .observer(collector.clone())
-                .build()
-            {
-                Ok(session) => session,
-                Err(e) => return bad_request(&e.to_string()),
-            };
-            let outcome = match session.mine(ds.db()) {
-                Ok(outcome) => outcome,
-                Err(e) => return bad_request(&e.to_string()),
-            };
-            shared.metrics.absorb_engine(&collector.snapshot());
-            if outcome.abort_reason().is_some() {
-                return Response::json(
-                    503,
-                    error_body("shutting_down", "shutting down before mining finished"),
-                );
-            }
-            let result = outcome.into_result();
-            let mut body = Vec::new();
-            if write_patterns_json(&mut body, ds.db().items(), &result.patterns).is_err() {
-                return internal_error("serialising patterns failed");
-            }
-            let entry = Arc::new(CachedResult::new(body, result.patterns));
-            shared.cache.insert(fingerprint, resolved, entry.clone());
-            (entry, "miss")
+    // Mine to completion (no per-request deadline: a partial pattern set
+    // would silently answer stabbing queries wrongly). The server-wide
+    // cancel token still applies.
+    let control = RunControl::new().with_cancel(shared.cancel.clone());
+    let (cached, cache_state) = match lookup_or_mine(shared, &ds, resolved, 1, control) {
+        Ok(Mined::Complete(entry, hit)) => (entry, if hit { "hit" } else { "miss" }),
+        Ok(Mined::Partial { .. }) => {
+            return Response::json(
+                503,
+                error_body("shutting_down", "shutting down before mining finished"),
+            )
         }
+        Err(response) => return response,
     };
 
     let index = cached.index();
@@ -1036,11 +1002,6 @@ mod tests {
         let addr = handle.addr();
         let ok = send(addr, "GET /v1/healthz HTTP/1.1\r\n\r\n");
         assert!(ok.starts_with("HTTP/1.1 200 OK"), "{ok}");
-        assert!(!ok.contains("Deprecation"), "versioned path is not deprecated: {ok}");
-        // The unversioned alias still answers, flagged as deprecated.
-        let legacy = send(addr, "GET /healthz HTTP/1.1\r\n\r\n");
-        assert!(legacy.starts_with("HTTP/1.1 200 OK"), "{legacy}");
-        assert!(legacy.contains("Deprecation: true"), "{legacy}");
         let missing = send(addr, "GET /v1/nope HTTP/1.1\r\n\r\n");
         assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
         assert!(missing.contains("\"code\":\"not_found\""), "{missing}");
@@ -1078,11 +1039,9 @@ mod tests {
         assert!(mine.starts_with("HTTP/1.1 200"), "{mine}");
         assert!(mine.contains("X-Rpm-Patterns: 8"), "{mine}");
         assert!(mine.contains("X-Rpm-Cache: miss"), "{mine}");
-        // The deprecated unversioned alias hits the same cache entry.
         let again =
-            send(addr, "POST /datasets/shop/mine?per=2&min-ps=3&min-rec=2 HTTP/1.1\r\n\r\n");
+            send(addr, "POST /v1/datasets/shop/mine?per=2&min-ps=3&min-rec=2 HTTP/1.1\r\n\r\n");
         assert!(again.contains("X-Rpm-Cache: hit"), "{again}");
-        assert!(again.contains("Deprecation: true"), "{again}");
         let active = send(
             addr,
             "GET /v1/datasets/shop/active?per=2&min-ps=3&min-rec=2&at=5 HTTP/1.1\r\n\r\n",

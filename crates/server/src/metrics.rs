@@ -2,8 +2,10 @@
 //! across every mining run the server has executed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
-use rpm_core::engine::EngineMetrics;
+use rpm_core::engine::AbortReason;
+use rpm_core::MiningStats;
 
 use crate::cache::CacheStats;
 use crate::persist::PersistCounters;
@@ -22,7 +24,7 @@ pub struct ServerMetrics {
     pub server_errors: AtomicU64,
     /// Connections refused by the acceptor because the queue was full.
     pub rejected_backpressure: AtomicU64,
-    /// `mine` requests that ran the engine (cache misses).
+    /// `mine` and `active` requests that ran the engine (cache misses).
     pub mine_runs: AtomicU64,
     /// Engine runs that completed exhaustively.
     pub mine_complete: AtomicU64,
@@ -78,16 +80,13 @@ impl ServerMetrics {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Folds one engine run's metrics into the lifetime aggregates.
-    pub fn absorb_engine(&self, m: &EngineMetrics) {
-        self.mining_wall_micros.fetch_add(m.total_wall().as_micros() as u64, Ordering::Relaxed);
-        self.candidates_checked.fetch_add(m.stats.candidates_checked as u64, Ordering::Relaxed);
-        self.patterns_found.fetch_add(m.stats.patterns_found as u64, Ordering::Relaxed);
-        if m.abort.is_some() {
-            Self::bump(&self.mine_partial);
-        } else {
-            Self::bump(&self.mine_complete);
-        }
+    /// Folds one mining run — a session mine or a hot mine through a
+    /// dataset's pattern store — into the lifetime aggregates.
+    pub fn absorb_mine(&self, wall: Duration, stats: &MiningStats, abort: Option<AbortReason>) {
+        self.mining_wall_micros.fetch_add(wall.as_micros() as u64, Ordering::Relaxed);
+        self.candidates_checked.fetch_add(stats.candidates_checked as u64, Ordering::Relaxed);
+        self.patterns_found.fetch_add(stats.patterns_found as u64, Ordering::Relaxed);
+        Self::bump(if abort.is_some() { &self.mine_partial } else { &self.mine_complete });
     }
 
     /// Folds one delta-mine outcome into the delta-vs-full counters.
@@ -102,14 +101,6 @@ impl ServerMetrics {
         } else {
             Self::bump(&self.delta_full);
         }
-    }
-
-    /// Records a run observed only by wall clock (the incremental fast path
-    /// runs without an engine observer).
-    pub fn absorb_wall(&self, wall: std::time::Duration, candidates: usize, patterns: usize) {
-        self.mining_wall_micros.fetch_add(wall.as_micros() as u64, Ordering::Relaxed);
-        self.candidates_checked.fetch_add(candidates as u64, Ordering::Relaxed);
-        self.patterns_found.fetch_add(patterns as u64, Ordering::Relaxed);
     }
 
     /// Renders the `/metrics` JSON document, merging in the cache counters,
@@ -204,7 +195,8 @@ mod tests {
         let m = ServerMetrics::new();
         ServerMetrics::bump(&m.requests_total);
         ServerMetrics::bump(&m.mine_runs);
-        m.absorb_wall(std::time::Duration::from_millis(2), 10, 3);
+        let stats = MiningStats { candidates_checked: 10, patterns_found: 3, ..Default::default() };
+        m.absorb_mine(Duration::from_millis(2), &stats, None);
         let json =
             m.to_json(&CacheStats { hits: 5, patches: 4, ..CacheStats::default() }, 2, None, None);
         assert!(json.contains("\"requests_total\": 1"));
@@ -269,13 +261,15 @@ mod tests {
     }
 
     #[test]
-    fn engine_metrics_fold_into_complete_or_partial() {
-        use rpm_core::engine::AbortReason;
+    fn mines_fold_into_complete_or_partial() {
         let m = ServerMetrics::new();
-        m.absorb_engine(&EngineMetrics::default());
-        let partial = EngineMetrics { abort: Some(AbortReason::Cancelled), ..Default::default() };
-        m.absorb_engine(&partial);
+        let stats = MiningStats { candidates_checked: 5, patterns_found: 2, ..Default::default() };
+        m.absorb_mine(Duration::from_micros(1500), &stats, None);
+        m.absorb_mine(Duration::from_micros(500), &stats, Some(AbortReason::Cancelled));
         assert_eq!(m.mine_complete.load(Ordering::Relaxed), 1);
         assert_eq!(m.mine_partial.load(Ordering::Relaxed), 1);
+        assert_eq!(m.candidates_checked.load(Ordering::Relaxed), 10);
+        assert_eq!(m.patterns_found.load(Ordering::Relaxed), 4);
+        assert_eq!(m.mining_wall_micros.load(Ordering::Relaxed), 2000);
     }
 }

@@ -278,7 +278,7 @@ pub struct WalReplay {
     /// Bytes of intact prefix (the post-repair file length).
     pub valid_len: u64,
     /// Whether a torn tail was found past the intact prefix
-    /// ([`read_and_repair`] truncates it away; [`read_records`] leaves the
+    /// (`read_and_repair` truncates it away; `read_records` leaves the
     /// file untouched).
     pub truncated_tail: bool,
 }

@@ -526,7 +526,7 @@ impl Registry {
     }
 
     /// Applies one journal record shipped by a primary. For a known dataset
-    /// this defers to [`Dataset::apply_shipped`] under its write lock; a
+    /// this defers to `Dataset::apply_shipped` under its write lock; a
     /// register record for an unknown name creates the dataset with a fresh
     /// journal continuing the primary's numbering. Anything else for an
     /// unknown name means the stream is broken.

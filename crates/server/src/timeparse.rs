@@ -10,7 +10,8 @@
 
 use std::time::Duration;
 
-/// Parses a duration. See the [module docs](self) for the accepted grammar.
+/// Parses a duration: `250ms`, `30s`, `5m`, `2h`, or a bare number of
+/// seconds, fractions allowed; out-of-range values are rejected.
 pub fn parse_duration(text: &str) -> Result<Duration, String> {
     let t = text.trim();
     // Longest suffix first: `ms` must win over `m`.

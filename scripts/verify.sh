@@ -12,7 +12,7 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo run -q -p rpm-lint --release --offline -- --json --baseline lint-baseline.json >/dev/null
 cargo build --release --offline
 cargo build --examples --offline
-RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --offline
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --offline
 # The whole workspace: rpm-core's randomised delta-vs-batch interleavings,
 # rpm-server's unit tests and rpm-lint's selfcheck live outside the root
 # package.

@@ -67,8 +67,8 @@ pub mod prelude {
     };
     pub use rpm_core::{
         closed_patterns, generate_rules, get_recurrence, get_relaxed_recurrence, maximal_patterns,
-        mine_durations, mine_relaxed, mine_top_k, recurrence_spectrum, top_k, verify_all,
-        verify_pattern, DurationParams, IncrementalMiner, MiningResult, NoiseParams, PatternIndex,
+        mine_durations, mine_relaxed, recurrence_spectrum, top_k, verify_all, verify_pattern,
+        DurationParams, IncrementalMiner, MiningResult, NoiseParams, PatternIndex,
         PeriodicInterval, RankBy, RecurringPattern, RecurringRule, ResolvedParams, RpGrowth,
         RpParams, Threshold,
     };

@@ -4,13 +4,19 @@
 //! endpoints included.
 
 use proptest::prelude::*;
-use recurring_patterns::core::{apriori_rp, mine_parallel};
+use recurring_patterns::core::apriori_rp;
 use recurring_patterns::datagen::{ExactGroup, ExactSpec};
 use recurring_patterns::prelude::*;
 
 /// Batch miner routed through the engine's [`MiningSession`] entry point.
 fn mine_resolved(db: &TransactionDb, params: ResolvedParams) -> MiningResult {
-    let session = MiningSession::builder().resolved(params).build().expect("valid params");
+    mine_threads(db, params, 1)
+}
+
+/// [`mine_resolved`] on `threads` work-stealing workers.
+fn mine_threads(db: &TransactionDb, params: ResolvedParams, threads: usize) -> MiningResult {
+    let session =
+        MiningSession::builder().resolved(params).threads(threads).build().expect("valid params");
     session.mine(db).expect("non-empty db").into_result()
 }
 
@@ -51,7 +57,7 @@ fn all_miners_reproduce_the_closed_form() {
     assert!(!expected.is_empty());
     assert_eq!(mine_resolved(&db, params).patterns, expected);
     assert_eq!(apriori_rp(&db, params).0, expected);
-    assert_eq!(mine_parallel(&db, params, 4).patterns, expected);
+    assert_eq!(mine_threads(&db, params, 4).patterns, expected);
     let (relaxed, _) = mine_relaxed(&db, &NoiseParams::strict(params));
     assert_eq!(relaxed, expected);
 }

@@ -66,13 +66,11 @@ fn closed_and_maximal_condense_simulated_output() {
 fn top_k_is_a_prefix_of_the_full_ranking() {
     let stream = generate_twitter(&TwitterConfig { scale: 0.04, seed: 34, ..Default::default() });
     let params = RpParams::with_threshold(360, Threshold::pct(2.0), 1);
-    let all = RpGrowth::new(params.clone()).mine(&stream.db).patterns;
+    let all = RpGrowth::new(params).mine(&stream.db).patterns;
     let k10 = top_k(&all, 10, RankBy::Support);
     let k5 = top_k(&all, 5, RankBy::Support);
     assert_eq!(&k10[..5], &k5[..]);
     assert!(k10.windows(2).all(|w| w[0].support >= w[1].support));
-    let direct = mine_top_k(&stream.db, params, 10, RankBy::Support);
-    assert_eq!(direct, k10);
 }
 
 #[test]

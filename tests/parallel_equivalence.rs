@@ -1,15 +1,20 @@
 //! Seeded equivalence suite for the work-stealing parallel miner: on a pool
-//! of planted **and** noise-corrupted databases, `mine_parallel` must
-//! produce the exact sequential output — patterns and the algorithmic
-//! [`MiningStats`] counters — at every thread count, and a reused
-//! [`MineScratch`] must never leak state between runs.
+//! of planted **and** noise-corrupted databases, a [`MiningSession`] on
+//! several threads must produce the exact sequential output — patterns and
+//! the algorithmic [`MiningStats`] counters — at every thread count.
 
-use recurring_patterns::core::{mine_parallel, MineScratch, MiningResult, ResolvedParams};
+use recurring_patterns::core::{MineScratch, MiningResult, ResolvedParams};
 use recurring_patterns::prelude::*;
 
 /// Batch miner routed through the engine's [`MiningSession`] entry point.
 fn mine_resolved(db: &TransactionDb, params: ResolvedParams) -> MiningResult {
-    let session = MiningSession::builder().resolved(params).build().expect("valid params");
+    mine_threads(db, params, 1)
+}
+
+/// [`mine_resolved`] on `threads` work-stealing workers.
+fn mine_threads(db: &TransactionDb, params: ResolvedParams, threads: usize) -> MiningResult {
+    let session =
+        MiningSession::builder().resolved(params).threads(threads).build().expect("valid params");
     session.mine(db).expect("non-empty db").into_result()
 }
 
@@ -51,30 +56,16 @@ fn parallel_output_and_stats_match_sequential_across_thread_counts() {
         let seq = mine_resolved(&db, params);
         assert!(!seq.patterns.is_empty(), "{name}: degenerate case, planted structure lost");
         for threads in [1usize, 2, 3, 8] {
-            let par = mine_parallel(&db, params, threads);
+            let par = mine_threads(&db, params, threads);
             assert_same(&name, &format!("threads={threads}"), &par, &seq);
         }
     }
 }
 
 #[test]
-fn warm_scratch_runs_match_cold_runs_across_the_pool() {
-    // One scratch arena across every database and parameter set — the
-    // regression test for stale state surviving `MineScratch` reuse.
-    let mut scratch = MineScratch::new();
-    for (name, db, params) in database_pool() {
-        let session = MiningSession::builder().resolved(params).build().expect("valid params");
-        let warm =
-            session.mine_with_scratch(&db, &mut scratch).expect("non-empty db").into_result();
-        let cold = mine_resolved(&db, params);
-        assert_same(&name, "warm scratch", &warm, &cold);
-    }
-}
-
-#[test]
 fn parallel_reports_scheduling_counters() {
     let (_, db, params) = database_pool().swap_remove(0);
-    let par = mine_parallel(&db, params, 4);
+    let par = mine_threads(&db, params, 4);
     assert!(par.stats.scratch_bytes_peak > 0, "worker scratch footprint not reported");
     let seq = mine_resolved(&db, params);
     assert!(seq.stats.scratch_bytes_peak > 0);

@@ -151,7 +151,8 @@ proptest! {
     ) {
         let params = ResolvedParams::new(per, min_ps, 1);
         let seq = mine_resolved(&db, params).patterns;
-        let par = recurring_patterns::core::mine_parallel(&db, params, threads).patterns;
+        let session = MiningSession::builder().resolved(params).threads(threads).build().unwrap();
+        let par = session.mine(&db).unwrap().into_result().patterns;
         prop_assert_eq!(seq, par);
     }
 

@@ -302,6 +302,29 @@ fn active_queries_are_served_from_the_cached_index() {
     assert_eq!(missing.status, 400);
     assert!(missing.body.contains("at=ts"), "{}", missing.body);
 
+    // At a dataset's hot params a cold active query mines through its
+    // pattern store, exactly as `mine` does: one fast-path run, folded into
+    // the delta counters, with the batch miner's answer. (A trailing
+    // transaction gives it its own fingerprint, so `shop`'s entry cannot
+    // answer for it.)
+    let text = running_example_text() + "15\tz\n";
+    let up = request(addr, "POST", "/v1/datasets/hot?per=2&min-ps=3&min-rec=2", &text);
+    assert_eq!(up.status, 201, "{}", up.body);
+    let before = request(addr, "GET", "/v1/metrics", "");
+    let hot = request(addr, "GET", "/v1/datasets/hot/active?per=2&min-ps=3&min-rec=2&at=3", "");
+    assert_eq!(hot.status, 200, "{}", hot.body);
+    assert_eq!(hot.header("x-rpm-cache"), "miss");
+    let after = request(addr, "GET", "/v1/metrics", "");
+    let gained = |name: &str| after.counter(name) - before.counter(name);
+    assert_eq!(gained("fastpath"), 1, "{}", after.body);
+    assert_eq!(gained("delta") + gained("delta_full"), 1, "{}", after.body);
+    let (db, patterns) = batch_mine(&text);
+    let stabbed: Vec<RecurringPattern> =
+        PatternIndex::build(&patterns).active_at(3).into_iter().cloned().collect();
+    let mut want = Vec::new();
+    write_patterns_json(&mut want, db.items(), &stabbed).unwrap();
+    assert_eq!(hot.body, String::from_utf8(want).unwrap());
+
     handle.shutdown();
     handle.join();
 }
@@ -316,17 +339,29 @@ fn deadline_yields_a_sound_partial_206() {
 
     // A zero deadline trips at the engine's first probe: 206, the abort
     // reason in a header, and whatever prefix was mined in the body.
+    let m0 = request(addr, "GET", "/v1/metrics", "");
     let partial =
         request(addr, "POST", "/v1/datasets/dense/mine?per=2&min-ps=3&min-rec=1&timeout=0ms", "");
     assert_eq!(partial.status, 206, "{}", partial.body);
     assert_eq!(partial.header("x-rpm-abort"), "deadline exceeded");
     assert_eq!(partial.header("x-rpm-cache"), "miss");
+    let m1 = request(addr, "GET", "/v1/metrics", "");
+    assert_eq!(m1.counter("partial") - m0.counter("partial"), 1, "{}", m1.body);
+    assert_eq!(m1.counter("complete"), m0.counter("complete"), "{}", m1.body);
 
     // Partial results are never cached…
     let retry = request(addr, "POST", "/v1/datasets/dense/mine?per=2&min-ps=3&min-rec=1", "");
     assert_eq!(retry.status, 200, "{}", retry.body);
     assert_eq!(retry.header("x-rpm-cache"), "miss", "the 206 must not have been cached");
     assert_eq!(retry.header("x-rpm-patterns"), "1023");
+    // …and the complete retry folds in exactly one batch mine's counters.
+    let m2 = request(addr, "GET", "/v1/metrics", "");
+    let gained = |name: &str| m2.counter(name) - m1.counter(name);
+    let db = decode_dataset_body(dense_db_text(10, 30).as_bytes()).unwrap();
+    let batch = RpGrowth::new(RpParams::new(2, 3, 1)).mine(&db);
+    assert_eq!(gained("complete"), 1, "{}", m2.body);
+    assert_eq!(gained("patterns_found"), 1023, "{}", m2.body);
+    assert_eq!(gained("candidates_checked"), batch.stats.candidates_checked as u64);
 
     // …and the partial is sound: every line of it appears verbatim in the
     // complete result.
@@ -458,63 +493,28 @@ fn unknown_routes_datasets_and_params_error_cleanly() {
 }
 
 #[test]
-fn legacy_unversioned_paths_alias_v1_with_a_deprecation_header() {
+fn unversioned_paths_answer_404_with_the_envelope() {
     let handle = bind(1, 4);
     let addr = handle.addr();
+    assert_eq!(request(addr, "POST", "/v1/datasets/shop", &running_example_text()).status, 201);
 
-    let up = request(addr, "POST", "/datasets/old", &running_example_text());
-    assert_eq!(up.status, 201, "{}", up.body);
-    assert_eq!(up.header("deprecation"), "true");
-    assert!(up.header("link").contains("successor-version"), "{}", up.header("link"));
+    // The pre-`/v1` aliases are gone: every bare path is an unknown route,
+    // answered with the uniform envelope and no deprecation headers.
+    for (method, path) in [
+        ("GET", "/healthz"),
+        ("POST", "/datasets/shop"),
+        ("POST", "/datasets/shop/mine?per=2&min-ps=3&min-rec=2"),
+        ("DELETE", "/datasets"),
+    ] {
+        let answer = request(addr, method, path, &running_example_text());
+        assert_eq!(answer.status, 404, "{method} {path}: {}", answer.body);
+        assert!(answer.body.contains("\"error\":{\"code\":\"not_found\""), "{}", answer.body);
+        assert_eq!(answer.header("deprecation"), "", "{method} {path}");
+        assert_eq!(answer.header("link"), "", "{method} {path}");
+    }
 
-    let mined_old = request(addr, "POST", "/datasets/old/mine?per=2&min-ps=3&min-rec=2", "");
-    let mined_new = request(addr, "POST", "/v1/datasets/old/mine?per=2&min-ps=3&min-rec=2", "");
-    assert_eq!(mined_old.status, 200, "{}", mined_old.body);
-    assert_eq!(mined_new.status, 200, "{}", mined_new.body);
-    assert_eq!(mined_old.body, mined_new.body, "alias and /v1 serve identical results");
-    assert_eq!(mined_old.header("deprecation"), "true");
-    assert_eq!(mined_new.header("deprecation"), "", "versioned path is not deprecated");
-
-    // Errors on the legacy surface still use the uniform envelope.
-    let missing = request(addr, "GET", "/datasets/ghost/active?per=2&min-ps=3&at=1", "");
-    assert_eq!(missing.status, 404);
-    assert!(missing.body.contains("\"code\":\"not_found\""), "{}", missing.body);
-    assert_eq!(missing.header("deprecation"), "true");
-
-    handle.shutdown();
-    handle.join();
-}
-
-#[test]
-fn legacy_alias_errors_keep_the_envelope_and_deprecation_headers() {
-    let handle = bind(1, 4);
-    let addr = handle.addr();
-    assert_eq!(request(addr, "POST", "/datasets/shop", &running_example_text()).status, 201);
-
-    // 404: unknown dataset through the alias — envelope + both alias headers.
-    let missing = request(addr, "POST", "/datasets/ghost/mine?per=2&min-ps=3", "");
-    assert_eq!(missing.status, 404, "{}", missing.body);
-    assert!(missing.body.contains("\"error\":{\"code\":\"not_found\""), "{}", missing.body);
-    assert!(missing.body.contains("\"message\":"), "{}", missing.body);
-    assert_eq!(missing.header("deprecation"), "true");
-    assert_eq!(missing.header("link"), "</v1>; rel=\"successor-version\"");
-
-    // 409: duplicate registration through the alias.
-    let dup = request(addr, "POST", "/datasets/shop", &running_example_text());
-    assert_eq!(dup.status, 409, "{}", dup.body);
-    assert!(dup.body.contains("\"error\":{\"code\":\"conflict\""), "{}", dup.body);
-    assert_eq!(dup.header("deprecation"), "true");
-    assert_eq!(dup.header("link"), "</v1>; rel=\"successor-version\"");
-
-    // 405: wrong method on a known alias route.
-    let wrong = request(addr, "DELETE", "/datasets", "");
-    assert_eq!(wrong.status, 405, "{}", wrong.body);
-    assert!(wrong.body.contains("\"error\":{\"code\":\"method_not_allowed\""), "{}", wrong.body);
-    assert_eq!(wrong.header("deprecation"), "true");
-
-    // 413: an oversized declared body is refused before routing, so the
-    // envelope survives but the alias headers do not — the rejection is
-    // transport-level, not a route answer.
+    // 413: an oversized declared body is refused before routing, even on
+    // a path that would not route — the rejection is transport-level.
     let huge = send_raw(
         addr,
         "POST /datasets/shop/append HTTP/1.1\r\nContent-Length: 999999999999\r\n\r\n",

@@ -224,16 +224,15 @@ fn writes_to_the_replica_are_fenced_with_421_at_the_primary() {
 
     // Reads are served locally …
     assert_eq!(request(raddr, "POST", MINE, "").status, 200);
-    // … writes answer 421 with the canonical /v1 path at the primary, on
-    // both the versioned surface and the deprecated alias.
+    // … writes answer 421 with the canonical /v1 path at the primary, for
+    // appends and registrations alike.
     let fenced = request(raddr, "POST", "/v1/datasets/shop/append", "20\tbread\n");
     assert_eq!(fenced.status, 421, "{}", fenced.body);
     assert!(fenced.body.contains("\"code\":\"misdirected\""), "{}", fenced.body);
     assert_eq!(fenced.header("location"), format!("http://{paddr}/v1/datasets/shop/append"));
-    let legacy = request(raddr, "POST", "/datasets/other", "1\ta\n");
-    assert_eq!(legacy.status, 421, "{}", legacy.body);
-    assert_eq!(legacy.header("deprecation"), "true");
-    assert_eq!(legacy.header("location"), format!("http://{paddr}/v1/datasets/other"));
+    let register = request(raddr, "POST", "/v1/datasets/other", "1\ta\n");
+    assert_eq!(register.status, 421, "{}", register.body);
+    assert_eq!(register.header("location"), format!("http://{paddr}/v1/datasets/other"));
     // The fenced append never reached either journal.
     assert_eq!(fingerprint_of(paddr, "shop"), fingerprint_of(raddr, "shop"));
 

@@ -4,13 +4,19 @@
 //! conditional pruning × dense prefixes) that tiny proptest cases rarely
 //! reach.
 
-use recurring_patterns::core::{apriori_rp, mine_parallel};
+use recurring_patterns::core::apriori_rp;
 use recurring_patterns::prelude::*;
 use recurring_patterns::timeseries::Pcg32;
 
 /// Batch miner routed through the engine's [`MiningSession`] entry point.
 fn mine_resolved(db: &TransactionDb, params: ResolvedParams) -> MiningResult {
-    let session = MiningSession::builder().resolved(params).build().expect("valid params");
+    mine_threads(db, params, 1)
+}
+
+/// [`mine_resolved`] on `threads` work-stealing workers.
+fn mine_threads(db: &TransactionDb, params: ResolvedParams, threads: usize) -> MiningResult {
+    let session =
+        MiningSession::builder().resolved(params).threads(threads).build().expect("valid params");
     session.mine(db).expect("non-empty db").into_result()
 }
 
@@ -55,7 +61,7 @@ fn growth_apriori_and_parallel_agree_on_mid_size_databases() {
                 growth.patterns, apriori,
                 "seed={seed} per={per} minPS={min_ps} minRec={min_rec}"
             );
-            let parallel = mine_parallel(&db, params, 4);
+            let parallel = mine_threads(&db, params, 4);
             assert_eq!(growth.patterns, parallel.patterns);
             verify_all(&db, &growth.patterns, params)
                 .unwrap_or_else(|(i, e)| panic!("pattern {i}: {e}"));
