@@ -162,6 +162,12 @@ fn main() {
         let (warm, stats) = miner.mine_delta(&mut store);
         let warm_full_ms = t0.elapsed().as_secs_f64() * 1e3;
         assert!(!stats.mode.is_delta(), "cold store warms with a full mine");
+        let multi_item = warm.patterns.iter().filter(|p| p.items.len() > 1).count();
+        assert_eq!(
+            store.checkpoint_count(),
+            miner.db().item_count() + multi_item,
+            "the warming mine hands the store one state per item and multi-item pattern"
+        );
 
         let mut report = BatchReport {
             batch,

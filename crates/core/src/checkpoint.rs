@@ -9,11 +9,14 @@
 //! count — is everything needed to continue the computation without
 //! revisiting the prefix ([`ScanCheckpoint`]). [`crate::PatternStore`] keeps
 //! one checkpoint per **item** (plus the item's posting-list length at the
-//! snapshot, which bounds its dirty tail) and a cache of checkpoints for the
-//! multi-item candidates previous delta mines examined. A cache miss is
-//! never unsound: [`cooccurrence_ts`] rebuilds the candidate's full
-//! timestamp list by intersecting its members' postings and the scan starts
-//! from an empty checkpoint.
+//! snapshot, which bounds its dirty tail) and a cache of checkpoints for
+//! multi-item candidates. A full mine fills that cache with the states its
+//! own scans reached for every emitted multi-item pattern (taken before
+//! `finish`, see [`PatternCheckpoint::before_finish`]); each delta mine adds
+//! the states of the candidates it examined. A cache miss is never unsound:
+//! [`cooccurrence_ts`] rebuilds the candidate's full timestamp list by
+//! intersecting its members' postings and the scan starts from an empty
+//! checkpoint.
 
 use rpm_timeseries::{ItemId, Timestamp};
 
@@ -39,12 +42,27 @@ pub(crate) struct ItemCheckpoint {
 
 /// Resumable state of one multi-item candidate, cached by
 /// [`crate::PatternStore`] across delta mines.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct PatternCheckpoint {
     pub ck: ScanCheckpoint,
     /// All interesting intervals closed before the boundary.
     pub intervals: Vec<PeriodicInterval>,
 }
+
+impl PatternCheckpoint {
+    /// The state of a scan checkpointed as `ck` just before `finish`, whose
+    /// finished interval list is `intervals`. Finishing closes only the open
+    /// run, so the intervals closed at the checkpoint are the first
+    /// `ck.summary.interesting` of the list.
+    pub(crate) fn before_finish(ck: ScanCheckpoint, intervals: &[PeriodicInterval]) -> Self {
+        let closed = intervals.iter().take(ck.summary.interesting).copied().collect();
+        PatternCheckpoint { ck, intervals: closed }
+    }
+}
+
+/// One entry of the store's resume cache: a multi-item candidate's sorted
+/// item set and its resumable state.
+pub(crate) type ResumeEntry = (Vec<ItemId>, PatternCheckpoint);
 
 /// What advancing a checkpointed scan over an appended suffix produced: the
 /// finished full-stream measures plus the state to checkpoint for the next
@@ -90,7 +108,7 @@ pub(crate) fn advance(
 
 /// `TS^X` over the full accumulated stream, rebuilt by intersecting the
 /// members' posting lists (smallest list drives, the rest advance by
-/// galloping binary search). The checkpoint-miss fallback: exact, but
+/// galloping binary search). The resume-cache miss path: exact, but
 /// O(min |postings|·|X|·log) instead of O(|tail|).
 pub(crate) fn cooccurrence_ts(miner: &IncrementalMiner, items: &[ItemId]) -> Vec<Timestamp> {
     debug_assert!(!items.is_empty());

@@ -48,6 +48,7 @@ use rpm_timeseries::{ItemId, Timestamp};
 
 use crate::checkpoint::{
     advance, cooccurrence_ts, rebuild_item_checkpoints, ItemCheckpoint, PatternCheckpoint,
+    ResumeEntry,
 };
 use crate::engine::control::{AbortReason, ControlProbe};
 use crate::engine::observer::NOOP;
@@ -176,8 +177,11 @@ impl DeltaStats {
 /// checkpoints** that make re-measuring a dirty candidate O(|appended
 /// tail|): per item, the Erec/Rec scan state at the pre-append boundary
 /// (last interval endpoint, running recurrence accumulators, support count,
-/// posting-list length); per previously-examined multi-item candidate, the
-/// same resumable state.
+/// posting-list length); per multi-item candidate, the same resumable
+/// state. A full mine hands the store the states its own scans reached for
+/// every multi-item pattern it emitted, and each delta mine adds those of
+/// the candidates it examined; a candidate with no stored state is
+/// re-measured by posting-list intersection.
 ///
 /// A store is bound to the stream that refreshed it by a chained prefix
 /// hash; feeding it to a different miner (or one whose history diverged) is
@@ -199,9 +203,10 @@ pub struct PatternStore {
     stats: MiningStats,
     /// Per-item measure checkpoints at the snapshot boundary.
     checkpoints: Vec<ItemCheckpoint>,
-    /// Resumable scan states of the multi-item candidates previous delta
-    /// mines examined (emitted or not). A cache: misses rebuild the state
-    /// by posting-list intersection.
+    /// Resumable scan states of multi-item candidates: every pattern the
+    /// last full mine emitted, plus every candidate a delta mine since then
+    /// examined (emitted or not). A cache: misses rebuild the state by
+    /// posting-list intersection.
     resume: HashMap<Vec<ItemId>, PatternCheckpoint>,
 }
 
@@ -233,8 +238,9 @@ impl PatternStore {
     }
 
     /// Number of resumable measure checkpoints the store holds (per-item
-    /// plus cached multi-item states) — observability for tests and the
-    /// serving layer.
+    /// plus cached multi-item states; right after a full mine, one per
+    /// item plus one per multi-item pattern) — observability for tests and
+    /// the serving layer.
     pub fn checkpoint_count(&self) -> usize {
         self.checkpoints.len() + self.resume.len()
     }
@@ -250,29 +256,21 @@ impl PatternStore {
         self.stats = result.stats;
     }
 
-    /// Refresh after a full batch mine: every checkpoint is rebuilt from
-    /// scratch — per-item states by rescanning postings, the multi-item
-    /// resume cache by intersecting each stored pattern's posting lists —
-    /// so the very next delta already resumes instead of intersecting.
-    fn refresh_full(&mut self, miner: &IncrementalMiner, result: &MiningResult) {
+    /// Refresh after a full batch mine: per-item states are rebuilt by
+    /// rescanning postings, and the resume cache becomes exactly the states
+    /// the mine's own scans reached for its multi-item patterns (`resume`,
+    /// captured by growth), so the very next delta already resumes instead
+    /// of intersecting.
+    fn refresh_full(
+        &mut self,
+        miner: &IncrementalMiner,
+        result: &MiningResult,
+        resume: Vec<ResumeEntry>,
+    ) {
         self.refresh_header(miner, result);
         self.checkpoints = rebuild_item_checkpoints(miner);
         self.resume.clear();
-        let params = miner.params();
-        let mut scan = RecurrenceScan::new();
-        for p in &self.patterns {
-            if p.items.len() < 2 {
-                continue;
-            }
-            scan.reset(params.per, params.min_ps);
-            for ts in cooccurrence_ts(miner, &p.items) {
-                scan.feed(ts);
-            }
-            self.resume.insert(
-                p.items.clone(),
-                PatternCheckpoint { ck: scan.checkpoint(), intervals: scan.intervals().to_vec() },
-            );
-        }
+        self.resume.extend(resume);
     }
 
     /// Refresh after a successful delta mine: clean items and untouched
@@ -285,7 +283,7 @@ impl PatternStore {
         result: &MiningResult,
         dirty: &[ItemId],
         window_start: usize,
-        updates: Vec<(Vec<ItemId>, PatternCheckpoint)>,
+        updates: Vec<ResumeEntry>,
     ) {
         let params = miner.params();
         self.refresh_header(miner, result);
@@ -305,12 +303,10 @@ impl PatternStore {
                 &prior.intervals,
                 postings[cut..].iter().map(|&tx| miner.db().transaction(tx as usize).timestamp()),
             );
-            let closed = done.next.summary.interesting;
-            self.checkpoints[item.index()] = ItemCheckpoint {
-                ck: done.next,
-                intervals: done.intervals[..closed].to_vec(),
-                postings_len: postings.len(),
-            };
+            let PatternCheckpoint { ck, intervals } =
+                PatternCheckpoint::before_finish(done.next, &done.intervals);
+            self.checkpoints[item.index()] =
+                ItemCheckpoint { ck, intervals, postings_len: postings.len() };
         }
         for (items, state) in updates {
             // Singleton states live in the per-item table rebuilt above;
@@ -483,10 +479,19 @@ impl IncrementalMiner {
         match plan.action {
             Action::Full(reason) => {
                 let list = self.live_list();
-                let (result, abort) =
-                    mine_list(self.db(), &list, self.params(), threads, control, &NOOP, scratch);
+                let mut resume = Vec::new();
+                let (result, abort) = mine_list(
+                    self.db(),
+                    &list,
+                    self.params(),
+                    threads,
+                    control,
+                    &NOOP,
+                    scratch,
+                    Some(&mut resume),
+                );
                 if abort.is_none() {
-                    store.refresh_full(self, &result);
+                    store.refresh_full(self, &result, resume);
                 }
                 let mut stats = plan.stats(DeltaMode::Full(reason));
                 stats.parallel_workers = threads.max(1);
@@ -689,7 +694,7 @@ struct Frontier<'a> {
 #[derive(Default)]
 struct RegionOut {
     fresh: Vec<RecurringPattern>,
-    updates: Vec<(Vec<ItemId>, PatternCheckpoint)>,
+    updates: Vec<ResumeEntry>,
     examined: usize,
     hits: usize,
     max_depth: usize,
@@ -776,11 +781,8 @@ impl Frontier<'_> {
             ),
         };
         if set.len() > 1 {
-            let closed = done.next.summary.interesting;
-            out.updates.push((
-                set.clone(),
-                PatternCheckpoint { ck: done.next, intervals: done.intervals[..closed].to_vec() },
-            ));
+            out.updates
+                .push((set.clone(), PatternCheckpoint::before_finish(done.next, &done.intervals)));
         } else {
             // Singleton checkpoints live in the per-item table; the refresh
             // re-derives them for every dirty item, so only record the
@@ -893,6 +895,68 @@ mod tests {
         let batch = mine_resolved(miner.db(), params);
         assert_eq!(full.patterns, batch.patterns);
         assert_eq!(full.stats.normalized(), batch.stats.normalized());
+    }
+
+    #[test]
+    fn full_mine_hands_the_store_the_states_intersection_would_rebuild() {
+        // The full refresh takes the multi-item resume states from the
+        // mine's own scans. Entry for entry, they must equal what the miss
+        // path rebuilds — posting-list intersection plus a fresh scan — at
+        // every worker count.
+        use rpm_timeseries::prng::Pcg32;
+        let mut rng = Pcg32::seed_from_u64(15);
+        let mut compared = 0usize;
+        for case in 0..20 {
+            let width = rng.random_range(4..12usize);
+            let density = 0.15 + 0.5 * rng.random_f64();
+            let params = ResolvedParams::new(
+                rng.random_range(1..5i64),
+                rng.random_range(1..5usize),
+                rng.random_range(1..4usize),
+            );
+            let mut miner = IncrementalMiner::new(params);
+            let mut ts = 0i64;
+            for _ in 0..rng.random_range(60..240usize) {
+                ts += rng.random_range(1..3i64);
+                let labels: Vec<String> = (0..width)
+                    .filter(|_| rng.random_f64() < density)
+                    .map(|i| format!("i{i}"))
+                    .collect();
+                let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
+                if !refs.is_empty() {
+                    miner.append(ts, &refs).unwrap();
+                }
+            }
+            let mut scan = RecurrenceScan::new();
+            for threads in 1..=3 {
+                let ctx = format!("case {case} threads {threads} params {params:?}");
+                let mut store = PatternStore::new();
+                let (_, abort, stats) = miner.mine_delta_controlled(
+                    &mut store,
+                    &RunControl::new(),
+                    &mut MineScratch::new(),
+                    threads,
+                );
+                assert!(abort.is_none(), "{ctx}");
+                assert_eq!(stats.mode, DeltaMode::Full(FullReason::ColdStore), "{ctx}");
+                let multi: Vec<&RecurringPattern> =
+                    store.patterns().iter().filter(|p| p.items.len() > 1).collect();
+                assert_eq!(store.resume.len(), multi.len(), "{ctx}: one entry per pattern");
+                for p in multi {
+                    scan.reset(params.per, params.min_ps);
+                    for t in cooccurrence_ts(&miner, &p.items) {
+                        scan.feed(t);
+                    }
+                    let reference = PatternCheckpoint {
+                        ck: scan.checkpoint(),
+                        intervals: scan.intervals().to_vec(),
+                    };
+                    assert_eq!(store.resume.get(&p.items), Some(&reference), "{ctx} {p:?}");
+                    compared += 1;
+                }
+            }
+        }
+        assert!(compared > 100, "the streams produced multi-item patterns ({compared})");
     }
 
     #[test]
@@ -1221,13 +1285,23 @@ mod tests {
         for ts in 0..50 {
             miner.append(ts, &["a", "b", "c"]).unwrap();
         }
+        let token = CancelToken::new();
+        token.cancel();
+        let control = RunControl::new().with_cancel(token);
+        // An aborted cold full mine drops the states it captured with the
+        // rest of the refresh: the store stays cold.
+        for threads in 1..=2 {
+            let (_, abort, stats) =
+                miner.mine_delta_controlled(&mut store, &control, &mut MineScratch::new(), threads);
+            assert!(abort.is_some());
+            assert_eq!(stats.mode, DeltaMode::Full(FullReason::ColdStore));
+            assert!(!store.is_warm(), "threads {threads}: the store stays cold");
+            assert!(store.resume.is_empty(), "threads {threads}: no resume state is kept");
+        }
         miner.mine_delta(&mut store);
         let base = store.base_len();
         let stored = store.patterns().to_vec();
         miner.append(50, &["c", "d"]).unwrap();
-        let token = CancelToken::new();
-        token.cancel();
-        let control = RunControl::new().with_cancel(token);
         let (result, abort, _) =
             miner.mine_delta_controlled(&mut store, &control, &mut MineScratch::new(), 1);
         assert!(abort.is_some(), "pre-cancelled control aborts immediately");

@@ -162,6 +162,7 @@ impl MiningSession {
             &self.control,
             observer,
             &mut MineScratch::new(),
+            None,
         );
         observer.on_complete(&result.stats, reason);
         Ok(match reason {

@@ -13,6 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rpm_timeseries::{ItemId, Timestamp, TransactionDb};
 
+use crate::checkpoint::{PatternCheckpoint, ResumeEntry};
 use crate::engine::control::{AbortReason, ControlProbe, RunControl};
 use crate::engine::observer::{Observer, Phase, NOOP};
 use crate::measures::{IntervalScan, RecurrenceScan, ScanSummary};
@@ -375,18 +376,20 @@ impl RpGrowth {
     pub fn mine(&self, db: &TransactionDb) -> MiningResult {
         let params = self.params.resolve(db.len());
         let list = RpList::build(db, params);
-        mine_list(db, &list, params, 1, &RunControl::new(), &NOOP, &mut MineScratch::new()).0
+        mine_list(db, &list, params, 1, &RunControl::new(), &NOOP, &mut MineScratch::new(), None).0
     }
 }
 
 /// The per-run execution context threaded through the recursion: the
-/// control probe polled at candidate boundaries plus the observer and the
-/// (possibly worker-shared) suffix-progress counter.
+/// control probe polled at candidate boundaries, the observer, the
+/// (possibly worker-shared) suffix-progress counter, and the resume sink
+/// of [`mine_list`] (per worker when the run is parallel).
 pub(crate) struct Exec<'e> {
     pub(crate) probe: ControlProbe<'e>,
     pub(crate) observer: &'e dyn Observer,
     pub(crate) done: &'e AtomicUsize,
     pub(crate) total: usize,
+    pub(crate) resume: Option<&'e mut Vec<ResumeEntry>>,
 }
 
 impl Exec<'_> {
@@ -410,6 +413,17 @@ impl Exec<'_> {
 /// result plus the abort reason when a limit tripped. Partial results are
 /// always sound: every emitted pattern passed the full recurrence test
 /// before the run stopped.
+///
+/// `resume`, when given, is a capture sink: for every multi-item pattern
+/// the run emits, growth pushes the pattern's items and the scan state its
+/// recurrence scan reached just before `finish` (with the intervals closed
+/// by then) — exactly the entry the pattern store's resume cache needs, so
+/// the store never rebuilds it by intersecting posting lists. Entries come
+/// in no particular order. Only the delta miner's full path
+/// ([`crate::IncrementalMiner::mine_delta_controlled`]) passes a sink; every
+/// other miner passes `None`. The sink is output, not scratch: it is not
+/// part of [`MineScratch::footprint_bytes`] or the scratch budget.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn mine_list(
     db: &TransactionDb,
     list: &RpList,
@@ -418,6 +432,7 @@ pub(crate) fn mine_list(
     control: &RunControl,
     observer: &dyn Observer,
     scratch: &mut MineScratch,
+    resume: Option<&mut Vec<ResumeEntry>>,
 ) -> (MiningResult, Option<AbortReason>) {
     let threads = threads.max(1);
     let mut stats = MiningStats {
@@ -451,7 +466,8 @@ pub(crate) fn mine_list(
         // sequential recursion mines the tree in place.
         let mut patterns = Vec::new();
         let done = AtomicUsize::new(0);
-        let mut exec = Exec { probe: control.start(), observer, done: &done, total: list.len() };
+        let mut exec =
+            Exec { probe: control.start(), observer, done: &done, total: list.len(), resume };
         let aborted = grow(
             &mut tree,
             list,
@@ -467,7 +483,8 @@ pub(crate) fn mine_list(
         stats.scratch_bytes_peak = scratch.footprint_bytes();
         (patterns, if aborted { exec.probe.tripped() } else { None })
     } else {
-        let mined = grow_regions(&tree, list, params, threads, control, observer, &mut stats);
+        let mined =
+            grow_regions(&tree, list, params, threads, control, observer, &mut stats, resume);
         scratch.recycle(tree);
         mined
     };
@@ -520,16 +537,19 @@ pub(crate) fn grow(
         let candidates_before = stats.candidates_checked;
         stats.candidates_checked += 1;
         let stored = if top { list.singleton(rank) } else { None };
-        let summary = match stored {
+        let (summary, ck) = match stored {
             Some((rec, _)) => {
                 let e = &list.candidates()[rank as usize];
-                ScanSummary { support: e.support, runs: 0, interesting: rec, erec: e.erec }
+                (ScanSummary { support: e.support, runs: 0, interesting: rec, erec: e.erec }, None)
             }
             None => {
                 let MineScratch { heap, scan, .. } = &mut *scratch;
                 scan.reset(params.per, params.min_ps);
                 tree.for_each_ts(rank, heap, |t| scan.feed(t));
-                scan.finish()
+                // A multi-item candidate's resumable state, for the resume
+                // sink: `finish` closes the open run, so take it first.
+                let ck = (!suffix.is_empty() && exec.resume.is_some()).then(|| scan.checkpoint());
+                (scan.finish(), ck)
             }
         };
         if summary.erec >= params.min_rec {
@@ -543,7 +563,12 @@ pub(crate) fn grow(
                     Some((_, intervals)) => intervals.to_vec(),
                     None => scratch.scan.intervals().to_vec(),
                 };
-                out.push(RecurringPattern::new(suffix.clone(), summary.support, intervals));
+                let pattern = RecurringPattern::new(suffix.clone(), summary.support, intervals);
+                if let (Some(sink), Some(ck)) = (exec.resume.as_deref_mut(), ck) {
+                    let state = PatternCheckpoint::before_finish(ck, &pattern.intervals);
+                    sink.push((pattern.items.clone(), state));
+                }
+                out.push(pattern);
             }
             // Conditional pattern base → conditional tree, keeping only the
             // prefix items whose Erec (within this projection) can still
@@ -748,7 +773,7 @@ mod tests {
         for (case, (db, params)) in cases.iter().enumerate() {
             let list = RpList::build(db, *params);
             let mine = |scratch: &mut MineScratch| {
-                mine_list(db, &list, *params, 1, &RunControl::new(), &NOOP, scratch).0
+                mine_list(db, &list, *params, 1, &RunControl::new(), &NOOP, scratch, None).0
             };
             let warm = mine(&mut scratch);
             let cold = mine(&mut MineScratch::new());

@@ -205,7 +205,7 @@ impl IncrementalMiner {
     pub fn mine(&self) -> MiningResult {
         let list = self.live_list();
         let control = RunControl::new();
-        mine_list(&self.db, &list, self.params, 1, &control, &NOOP, &mut MineScratch::new()).0
+        mine_list(&self.db, &list, self.params, 1, &control, &NOOP, &mut MineScratch::new(), None).0
     }
 }
 

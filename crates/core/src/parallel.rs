@@ -35,6 +35,7 @@ use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 
 use rpm_timeseries::{ItemId, Timestamp, TransactionDb};
 
+use crate::checkpoint::ResumeEntry;
 use crate::engine::control::{AbortReason, RunControl};
 use crate::engine::observer::Observer;
 use crate::growth::{grow, Exec, MineScratch, MiningStats, PathBounds};
@@ -119,7 +120,10 @@ pub(crate) fn insert_chunked(db: &TransactionDb, list: &RpList, threads: usize, 
 /// poll the shared control between stolen regions *and* at every candidate
 /// boundary inside a region; the first to trip raises a shared halt flag so
 /// siblings stop within one candidate as well. Returns the patterns (not
-/// yet in canonical order) and the abort reason when a limit tripped.
+/// yet in canonical order) and the abort reason when a limit tripped. With
+/// a `resume` sink, each worker collects its patterns' resume entries
+/// locally and they are appended to the sink after the join.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn grow_regions(
     tree: &TsTree,
     list: &RpList,
@@ -128,6 +132,7 @@ pub(crate) fn grow_regions(
     control: &RunControl,
     observer: &dyn Observer,
     stats: &mut MiningStats,
+    mut resume: Option<&mut Vec<ResumeEntry>>,
 ) -> (Vec<RecurringPattern>, Option<AbortReason>) {
     let n = list.len();
     // Largest-regions-first queue: support(r) bounds the region's total
@@ -143,8 +148,10 @@ pub(crate) fn grow_regions(
     let halt = &AtomicBool::new(false);
     let abort_cell = &AbortCell::new();
     let done = &AtomicUsize::new(0);
+    let capture = resume.is_some();
 
-    let results: Vec<(Vec<RecurringPattern>, MiningStats)> = std::thread::scope(|scope| {
+    type WorkerOut = (Vec<RecurringPattern>, MiningStats, Vec<ResumeEntry>);
+    let results: Vec<WorkerOut> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|w| {
                 scope.spawn(move || {
@@ -152,11 +159,13 @@ pub(crate) fn grow_regions(
                     let mut out: Vec<RecurringPattern> = Vec::new();
                     let mut local = MiningStats::default();
                     let mut suffix: Vec<ItemId> = Vec::new();
+                    let mut captured: Vec<ResumeEntry> = Vec::new();
                     let mut exec = Exec {
                         probe: control.start_with_halt(Some(halt)),
                         observer,
                         done,
                         total: n,
+                        resume: capture.then_some(&mut captured),
                     };
                     loop {
                         if let Some(r) = exec.probe.poll_with(|| scratch.footprint_bytes()) {
@@ -193,7 +202,7 @@ pub(crate) fn grow_regions(
                         exec.suffix_done(local.candidates_checked - before);
                     }
                     local.scratch_bytes_peak = scratch.footprint_bytes();
-                    (out, local)
+                    (out, local, captured)
                 })
             })
             .collect();
@@ -201,9 +210,12 @@ pub(crate) fn grow_regions(
     });
 
     let mut patterns = Vec::new();
-    for (mut out, local) in results {
+    for (mut out, local, mut captured) in results {
         patterns.append(&mut out);
         merge_stats(stats, &local);
+        if let Some(sink) = resume.as_deref_mut() {
+            sink.append(&mut captured);
+        }
     }
     (patterns, abort_cell.get())
 }
@@ -402,7 +414,8 @@ mod tests {
         let params = ResolvedParams::new(2, 3, 2);
         let list = RpList::build(&db, params);
         let control = RunControl::new();
-        let (par, _) = mine_list(&db, &list, params, 0, &control, &NOOP, &mut MineScratch::new());
+        let (par, _) =
+            mine_list(&db, &list, params, 0, &control, &NOOP, &mut MineScratch::new(), None);
         assert_eq!(par.patterns.len(), 8);
     }
 
