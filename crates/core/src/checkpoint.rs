@@ -1,47 +1,34 @@
-//! Suffix-resumable measure checkpoints — the state the delta miner retains
-//! so a dirty candidate is re-measured in O(|appended tail|) instead of
-//! O(|posting list|).
+//! Suffix-resumable scan states — what lets the delta miner re-measure a
+//! dirty candidate in O(|appended tail|) instead of O(|posting list|).
 //!
 //! The paper's measures are computed by a single left-to-right scan of
-//! `TS^X` ([`RecurrenceScan`]), and appends can only extend the suffix of
-//! any occurrence stream, so the scan state at the pre-append boundary —
-//! the closed-run aggregates, the open run's `(start, idl, ps)`, the support
-//! count — is everything needed to continue the computation without
-//! revisiting the prefix ([`ScanCheckpoint`]). [`crate::PatternStore`] keeps
-//! one checkpoint per **item** (plus the item's posting-list length at the
-//! snapshot, which bounds its dirty tail) and a cache of checkpoints for
-//! multi-item candidates. A full mine fills that cache with the states its
-//! own scans reached for every emitted multi-item pattern (taken before
-//! `finish`, see [`PatternCheckpoint::before_finish`]); each delta mine adds
-//! the states of the candidates it examined. A cache miss is never unsound:
+//! `TS^X` (Algorithm 1's state machine, [`ScanCheckpoint`]), and appends can
+//! only extend the suffix of any occurrence stream, so the scan state at a
+//! boundary — the closed-run aggregates, the open run's `(start, idl, ps)`,
+//! the support count — plus the interesting intervals closed so far is
+//! everything needed to continue without revisiting the prefix
+//! ([`PatternCheckpoint`]). There is one such state per item, kept live by
+//! the [`IncrementalMiner`] as transactions are appended: the RP-list and
+//! the delta planner read every singleton's whole-stream measures from it.
+//! [`crate::PatternStore`] holds only the multi-item states, as a resume
+//! cache. A full mine fills that cache with the states its own scans reached
+//! for every emitted multi-item pattern (taken before `finish`, see
+//! [`PatternCheckpoint::before_finish`]); each delta mine adds the states of
+//! the candidates it examined. A cache miss is never unsound:
 //! [`cooccurrence_ts`] rebuilds the candidate's full timestamp list by
 //! intersecting its members' postings and the scan starts from an empty
-//! checkpoint.
+//! state.
 
 use rpm_timeseries::{ItemId, Timestamp};
 
 use crate::incremental::IncrementalMiner;
-use crate::measures::{RecurrenceScan, ScanCheckpoint, ScanSummary};
+use crate::measures::{ScanCheckpoint, ScanSummary};
 use crate::pattern::PeriodicInterval;
 
-/// Per-item measure checkpoint at a [`crate::PatternStore`] snapshot: the
-/// Erec/Rec scan state at the pre-append boundary plus the interesting
-/// intervals closed so far and the posting-list length, so both the
-/// singleton measures and the dirty-tail cost model resume in O(1).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ItemCheckpoint {
-    /// Resumable scan state (last interval endpoint, running recurrence
-    /// accumulators, support count).
-    pub ck: ScanCheckpoint,
-    /// Interesting intervals closed before the boundary.
-    pub intervals: Vec<PeriodicInterval>,
-    /// Posting-list length at the snapshot — postings beyond it are the
-    /// item's dirty tail.
-    pub postings_len: usize,
-}
-
-/// Resumable state of one multi-item candidate, cached by
-/// [`crate::PatternStore`] across delta mines.
+/// The resumable Algorithm 1 state of one itemset: its [`ScanCheckpoint`]
+/// plus the interesting intervals closed so far. The incremental miner keeps
+/// one per item, advanced on every append; [`crate::PatternStore`] caches
+/// one per multi-item candidate across delta mines.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct PatternCheckpoint {
     pub ck: ScanCheckpoint,
@@ -58,53 +45,48 @@ impl PatternCheckpoint {
         let closed = intervals.iter().take(ck.summary.interesting).copied().collect();
         PatternCheckpoint { ck, intervals: closed }
     }
+
+    /// Feeds the itemset's next occurrence. A timestamp at or before the
+    /// last fed one is an incidence this state already counted — an item
+    /// re-mentioned by a same-timestamp merge, or a snapshot's boundary
+    /// transaction reappearing in a delta's tail window — and is skipped.
+    #[inline]
+    pub(crate) fn feed(&mut self, ts: Timestamp, per: Timestamp, min_ps: usize) {
+        if self.ck.last_fed().is_none_or(|last| ts > last) {
+            self.intervals.extend(self.ck.feed(ts, per, min_ps));
+        }
+    }
+
+    /// This state advanced over `feed` (ascending timestamps).
+    pub(crate) fn advanced(
+        &self,
+        per: Timestamp,
+        min_ps: usize,
+        feed: impl IntoIterator<Item = Timestamp>,
+    ) -> Self {
+        let mut next = self.clone();
+        for ts in feed {
+            next.feed(ts, per, min_ps);
+        }
+        next
+    }
+
+    /// The whole-stream measures: the aggregates and every interesting
+    /// interval in temporal order, with the open run closed (Algorithm 1
+    /// line 15) in a copy, so this state stays resumable.
+    pub(crate) fn finished(&self, min_ps: usize) -> (ScanSummary, Vec<PeriodicInterval>) {
+        let mut ck = self.ck;
+        let last = ck.finish(min_ps);
+        let mut intervals = Vec::with_capacity(self.intervals.len() + 1);
+        intervals.extend_from_slice(&self.intervals);
+        intervals.extend(last);
+        (ck.summary, intervals)
+    }
 }
 
 /// One entry of the store's resume cache: a multi-item candidate's sorted
 /// item set and its resumable state.
 pub(crate) type ResumeEntry = (Vec<ItemId>, PatternCheckpoint);
-
-/// What advancing a checkpointed scan over an appended suffix produced: the
-/// finished full-stream measures plus the state to checkpoint for the next
-/// delta.
-#[derive(Debug, Clone)]
-pub(crate) struct ResumeOutcome {
-    /// Finished aggregates over the **whole** stream.
-    pub summary: ScanSummary,
-    /// All interesting intervals of the whole stream, in temporal order.
-    pub intervals: Vec<PeriodicInterval>,
-    /// Pre-`finish` scan state at the new boundary.
-    pub next: ScanCheckpoint,
-}
-
-/// Continues a checkpointed scan over `feed` (ascending timestamps) and
-/// finishes it. Timestamps `<=` the checkpoint's last fed one are skipped:
-/// they are incidences the prefix scan already counted (the snapshot's
-/// boundary transaction reappears in the tail window after a same-timestamp
-/// merge rewrites it). `prefix_intervals` are the intervals closed before
-/// the checkpoint; the outcome splices them ahead of the newly closed ones.
-pub(crate) fn advance(
-    scan: &mut RecurrenceScan,
-    per: Timestamp,
-    min_ps: usize,
-    prior: ScanCheckpoint,
-    prefix_intervals: &[PeriodicInterval],
-    feed: impl IntoIterator<Item = Timestamp>,
-) -> ResumeOutcome {
-    scan.resume(per, min_ps, prior);
-    let last = prior.last_fed();
-    for ts in feed {
-        if last.is_none_or(|l| ts > l) {
-            scan.feed(ts);
-        }
-    }
-    let next = scan.checkpoint();
-    let summary = scan.finish();
-    let mut intervals = Vec::with_capacity(prefix_intervals.len() + scan.intervals().len());
-    intervals.extend_from_slice(prefix_intervals);
-    intervals.extend_from_slice(scan.intervals());
-    ResumeOutcome { summary, intervals, next }
-}
 
 /// `TS^X` over the full accumulated stream, rebuilt by intersecting the
 /// members' posting lists (smallest list drives, the rest advance by
@@ -129,31 +111,10 @@ pub(crate) fn cooccurrence_ts(miner: &IncrementalMiner, items: &[ItemId]) -> Vec
     out
 }
 
-/// Rebuilds every item's checkpoint from scratch by rescanning its postings
-/// — the full-refresh path, O(total incidences). Delta refreshes instead
-/// advance only the dirty items' checkpoints via [`advance`].
-pub(crate) fn rebuild_item_checkpoints(miner: &IncrementalMiner) -> Vec<ItemCheckpoint> {
-    let (per, min_ps) = (miner.params().per, miner.params().min_ps);
-    let mut scan = RecurrenceScan::new();
-    (0..miner.db().item_count())
-        .map(|idx| {
-            let item = ItemId(idx as u32);
-            scan.reset(per, min_ps);
-            for &tx in miner.postings(item) {
-                scan.feed(miner.db().transaction(tx as usize).timestamp());
-            }
-            ItemCheckpoint {
-                ck: scan.checkpoint(),
-                intervals: scan.intervals().to_vec(),
-                postings_len: miner.postings(item).len(),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measures::RecurrenceScan;
     use crate::params::ResolvedParams;
 
     #[test]
@@ -189,8 +150,13 @@ mod tests {
     }
 
     #[test]
-    fn rebuilt_item_checkpoints_agree_with_live_scanners() {
-        let mut miner = IncrementalMiner::new(ResolvedParams::new(2, 2, 1));
+    fn live_item_states_equal_a_fresh_scan_of_the_item() {
+        // The miner's per-item state, advanced append by append (including
+        // same-timestamp merges that re-mention an item), must be exactly
+        // what a fresh scan of the item's timestamps reaches: the same
+        // resumable state before `finish`, the same measures after.
+        let params = ResolvedParams::new(2, 2, 1);
+        let mut miner = IncrementalMiner::new(params);
         for ts in 0..50i64 {
             let mut labels = vec!["a"];
             if ts % 3 == 0 {
@@ -200,27 +166,24 @@ mod tests {
                 labels.push("c");
             }
             miner.append(ts, &labels).unwrap();
+            if ts % 7 == 0 {
+                miner.append(ts, &["b"]).unwrap();
+            }
         }
-        let cks = rebuild_item_checkpoints(&miner);
-        assert_eq!(cks.len(), miner.db().item_count());
-        for (idx, ck) in cks.iter().enumerate() {
+        assert_eq!(miner.len(), 50, "the merges did not grow the stream");
+        let mut scan = RecurrenceScan::new();
+        for idx in 0..miner.db().item_count() {
             let item = ItemId(idx as u32);
-            // Finishing the checkpointed state must reproduce the live
-            // scanner's summary (support, runs, Rec, Erec)…
-            let mut scan = RecurrenceScan::new();
-            let done = advance(
-                &mut scan,
-                miner.params().per,
-                miner.params().min_ps,
-                ck.ck,
-                &ck.intervals,
-                std::iter::empty(),
-            );
-            assert_eq!(Some(done.summary), miner.scan_summary(item));
-            // …and the postings length is the full list (nothing appended
-            // since the rebuild).
-            assert_eq!(ck.postings_len, miner.postings(item).len());
-            assert_eq!(done.intervals.len(), done.summary.interesting);
+            let live = miner.item_state(item).expect("every item was appended");
+            scan.reset(params.per, params.min_ps);
+            for t in miner.db().timestamps_of(&[item]) {
+                scan.feed(t);
+            }
+            assert_eq!(live.ck, scan.checkpoint(), "item {idx}");
+            assert_eq!(live.intervals, scan.intervals(), "item {idx}");
+            let (summary, intervals) = live.finished(params.min_ps);
+            assert_eq!(summary, scan.finish(), "item {idx}");
+            assert_eq!(intervals, scan.intervals(), "item {idx}");
         }
     }
 }

@@ -9,10 +9,12 @@
 //! series can only extend an item's last periodic run or open a new one,
 //! `Rec` is non-decreasing, so previously recurring patterns never leave the
 //! result. [`IncrementalMiner::mine_delta`] exploits both facts, plus a
-//! third: the measures are computed by a single left-to-right scan, so the
-//! scan state at the pre-append boundary (checkpointed in the store, see
-//! the `checkpoint` module) lets a dirty candidate be re-measured by feeding
-//! **only the appended tail** instead of its full posting list:
+//! third: the measures are computed by a single left-to-right scan, so a
+//! scan state taken at the pre-append boundary lets a dirty candidate be
+//! re-measured by feeding **only the appended tail** instead of its full
+//! posting list (see the `checkpoint` module). A single item needs not even
+//! that: the miner keeps its scan state live across appends, so its
+//! whole-stream measures are read off directly.
 //!
 //! 1. derive the **dirty items** — everything occurring in a transaction
 //!    appended since the store's snapshot; the snapshot's last (*boundary*)
@@ -20,10 +22,11 @@
 //!    a same-timestamp append merges into it instead of growing the stream;
 //! 2. enumerate the candidate itemsets that co-occur in the tail window
 //!    (ordered set-extension over the dirty candidates' tail postings,
-//!    pruned by the exact full-stream `Erec` bound) and re-measure each by
-//!    resuming its checkpointed scan over the tail — falling back to a
-//!    posting-list intersection on a checkpoint miss, which is exact but
-//!    costs O(min |postings|) instead of O(|tail|);
+//!    pruned by the exact full-stream `Erec` bound) and re-measure each:
+//!    a singleton from the miner's live state, a multi-item set by resuming
+//!    the store's cached scan state over the tail — falling back to a
+//!    posting-list intersection on a cache miss, which is exact but costs
+//!    O(min |postings|) instead of O(|tail|);
 //! 3. splice every stored pattern the tail never touched, unchanged, and
 //!    merge the two canonical-ordered sets. The splice moves those patterns
 //!    out of the store (re-measured ones are found by binary search over
@@ -44,18 +47,14 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use rpm_timeseries::{ItemId, Timestamp};
+use rpm_timeseries::ItemId;
 
-use crate::checkpoint::{
-    advance, cooccurrence_ts, rebuild_item_checkpoints, ItemCheckpoint, PatternCheckpoint,
-    ResumeEntry,
-};
+use crate::checkpoint::{cooccurrence_ts, PatternCheckpoint, ResumeEntry};
 use crate::engine::control::{AbortReason, ControlProbe};
 use crate::engine::observer::NOOP;
 use crate::engine::RunControl;
 use crate::growth::{mine_list, MineScratch, MiningResult, MiningStats};
 use crate::incremental::IncrementalMiner;
-use crate::measures::{RecurrenceScan, ScanCheckpoint};
 use crate::parallel::AbortCell;
 use crate::params::ResolvedParams;
 use crate::pattern::{canonical_cmp, canonical_order, RecurringPattern};
@@ -146,8 +145,11 @@ pub struct DeltaStats {
     /// Tail-window transactions the delta path actually scanned (0 unless
     /// the mode is [`DeltaMode::Delta`]).
     pub tail_transactions: usize,
-    /// Candidate re-measurements resumed from a stored checkpoint (the
-    /// remainder fell back to posting-list intersection).
+    /// Candidate re-measurements that continued a scan state instead of
+    /// rebuilding one: a multi-item candidate resumed from the store's
+    /// cache (the remainder fell back to posting-list intersection), or a
+    /// singleton whose item occurs before the tail window, measured by the
+    /// miner's live per-item state.
     pub checkpoint_hits: usize,
     /// Worker threads the frontier re-measurement or the full re-mine ran
     /// on (1 = sequential; 0 when nothing was mined).
@@ -173,15 +175,15 @@ impl DeltaStats {
 
 /// A reusable snapshot of the last complete mining result of one stream,
 /// in canonical order so [`IncrementalMiner::mine_delta`] can move the
-/// patterns untouched by an append into its result, plus the **measure
-/// checkpoints** that make re-measuring a dirty candidate O(|appended
-/// tail|): per item, the Erec/Rec scan state at the pre-append boundary
-/// (last interval endpoint, running recurrence accumulators, support count,
-/// posting-list length); per multi-item candidate, the same resumable
-/// state. A full mine hands the store the states its own scans reached for
-/// every multi-item pattern it emitted, and each delta mine adds those of
-/// the candidates it examined; a candidate with no stored state is
-/// re-measured by posting-list intersection.
+/// patterns untouched by an append into its result, plus the **resume
+/// cache** that makes re-measuring a dirty multi-item candidate O(|appended
+/// tail|): per candidate, the Erec/Rec scan state at the snapshot boundary
+/// (open run, closed-run aggregates, support count, closed intervals). A
+/// full mine hands the store the states its own scans reached for every
+/// multi-item pattern it emitted, and each delta mine adds those of the
+/// candidates it examined; a candidate with no stored state is re-measured
+/// by posting-list intersection. Single items need no entry: the miner
+/// keeps their scan states live.
 ///
 /// A store is bound to the stream that refreshed it by a chained prefix
 /// hash; feeding it to a different miner (or one whose history diverged) is
@@ -201,8 +203,6 @@ pub struct PatternStore {
     /// delta find a re-measured pattern by binary search.
     patterns: Vec<RecurringPattern>,
     stats: MiningStats,
-    /// Per-item measure checkpoints at the snapshot boundary.
-    checkpoints: Vec<ItemCheckpoint>,
     /// Resumable scan states of multi-item candidates: every pattern the
     /// last full mine emitted, plus every candidate a delta mine since then
     /// examined (emitted or not). A cache: misses rebuild the state by
@@ -237,96 +237,41 @@ impl PatternStore {
         &self.patterns
     }
 
-    /// Number of resumable measure checkpoints the store holds (per-item
-    /// plus cached multi-item states; right after a full mine, one per
-    /// item plus one per multi-item pattern) — observability for tests and
-    /// the serving layer.
+    /// Number of resumable scan states the store caches (multi-item only;
+    /// right after a full mine, one per multi-item pattern) — observability
+    /// for tests and the serving layer.
     pub fn checkpoint_count(&self) -> usize {
-        self.checkpoints.len() + self.resume.len()
+        self.resume.len()
     }
 
-    /// The header + patterns part of a refresh, shared by the full and
-    /// delta paths: the store's one copy of the result.
-    fn refresh_header(&mut self, miner: &IncrementalMiner, result: &MiningResult) {
+    /// Takes a completed mine as the new snapshot: the header, the store's
+    /// one copy of the patterns, and the resume states the mine produced.
+    /// After a full mine (`full`) these replace the cache: they are exactly
+    /// the states growth's own scans reached for the emitted multi-item
+    /// patterns, so the very next delta already resumes instead of
+    /// intersecting. After a delta they are the examined candidates' new
+    /// states, installed over the untouched entries.
+    fn refresh(
+        &mut self,
+        miner: &IncrementalMiner,
+        result: &MiningResult,
+        states: Vec<ResumeEntry>,
+        full: bool,
+    ) {
         self.params = Some(miner.params());
         self.base_len = miner.len();
         self.prefix_hash = miner.prefix_hash_at(self.base_len.saturating_sub(1));
         self.full_hash = miner.prefix_hash_at(self.base_len);
         self.patterns.clone_from(&result.patterns);
         self.stats = result.stats;
-    }
-
-    /// Refresh after a full batch mine: per-item states are rebuilt by
-    /// rescanning postings, and the resume cache becomes exactly the states
-    /// the mine's own scans reached for its multi-item patterns (`resume`,
-    /// captured by growth), so the very next delta already resumes instead
-    /// of intersecting.
-    fn refresh_full(
-        &mut self,
-        miner: &IncrementalMiner,
-        result: &MiningResult,
-        resume: Vec<ResumeEntry>,
-    ) {
-        self.refresh_header(miner, result);
-        self.checkpoints = rebuild_item_checkpoints(miner);
-        self.resume.clear();
-        self.resume.extend(resume);
-    }
-
-    /// Refresh after a successful delta mine: clean items and untouched
-    /// cache entries keep their checkpoints; dirty items advance over their
-    /// tails; examined multi-item candidates install the states the
-    /// frontier re-measurement just produced.
-    fn refresh_delta(
-        &mut self,
-        miner: &IncrementalMiner,
-        result: &MiningResult,
-        dirty: &[ItemId],
-        window_start: usize,
-        updates: Vec<ResumeEntry>,
-    ) {
-        let params = miner.params();
-        self.refresh_header(miner, result);
-        if self.checkpoints.len() < miner.db().item_count() {
-            self.checkpoints.resize_with(miner.db().item_count(), ItemCheckpoint::default);
+        if full {
+            self.resume.clear();
         }
-        let mut scan = RecurrenceScan::new();
-        for &item in dirty {
-            let postings = miner.postings(item);
-            let cut = tail_cut(postings, self.checkpoints[item.index()].postings_len, window_start);
-            let prior = &self.checkpoints[item.index()];
-            let done = advance(
-                &mut scan,
-                params.per,
-                params.min_ps,
-                prior.ck,
-                &prior.intervals,
-                postings[cut..].iter().map(|&tx| miner.db().transaction(tx as usize).timestamp()),
-            );
-            let PatternCheckpoint { ck, intervals } =
-                PatternCheckpoint::before_finish(done.next, &done.intervals);
-            self.checkpoints[item.index()] =
-                ItemCheckpoint { ck, intervals, postings_len: postings.len() };
-        }
-        for (items, state) in updates {
-            // Singleton states live in the per-item table rebuilt above;
-            // their placeholder updates only drive the retained split.
-            if items.len() >= 2 {
-                self.resume.insert(items, state);
-            }
-        }
-        if self.resume.len() > RESUME_CACHE_MAX {
+        self.resume.extend(states);
+        if !full && self.resume.len() > RESUME_CACHE_MAX {
             self.resume.clear();
         }
     }
-}
-
-/// Start of `postings`' tail window: the index of the first posting at or
-/// past `window_start`. `hint_len` (the checkpointed posting length) bounds
-/// the search to the appended suffix plus the boundary slot.
-fn tail_cut(postings: &[u32], hint_len: usize, window_start: usize) -> usize {
-    let hint = hint_len.saturating_sub(1).min(postings.len());
-    hint + postings[hint..].partition_point(|&tx| (tx as usize) < window_start)
 }
 
 /// The resolved shape of one delta-mine call, computed without mining.
@@ -408,17 +353,16 @@ impl IncrementalMiner {
         let mut candidates = Vec::new();
         let mut tail_work = 0usize;
         for &item in &dirty {
-            let Some(summary) = self.scan_summary(item) else { continue };
-            if summary.erec >= params.min_rec {
+            let Some(state) = self.item_state(item) else { continue };
+            if state.ck.finished(params.min_ps).erec >= params.min_rec {
                 let postings = self.postings(item);
-                let hint = store.checkpoints.get(item.index()).map_or(0, |c| c.postings_len);
-                let cut = tail_cut(postings, hint, start);
+                let cut = postings.partition_point(|&tx| (tx as usize) < start);
                 tail_work += postings.len() - cut;
                 candidates.push((item, cut));
             }
         }
         // The cost model: delta work is proportional to the candidates'
-        // tail postings (checkpoints make the prefix free), so fall back
+        // tail postings (scan states make the prefix free), so fall back
         // only when the appended tail itself is a sizeable fraction of the
         // stream — not merely because the dirty items are frequent.
         let action = if tail_work * 100 > self.len() * DELTA_TAIL_BUDGET_PCT {
@@ -491,7 +435,7 @@ impl IncrementalMiner {
                     Some(&mut resume),
                 );
                 if abort.is_none() {
-                    store.refresh_full(self, &result, resume);
+                    store.refresh(self, &result, resume, true);
                 }
                 let mut stats = plan.stats(DeltaMode::Full(reason));
                 stats.parallel_workers = threads.max(1);
@@ -518,7 +462,6 @@ impl IncrementalMiner {
         threads: usize,
     ) -> (MiningResult, Option<AbortReason>, DeltaStats) {
         let params = self.params();
-        let window_start = self.len() - plan.touched;
         let frontier = Frontier {
             miner: self,
             params,
@@ -534,7 +477,7 @@ impl IncrementalMiner {
         if workers <= 1 {
             let mut probe = control.start();
             for r in 0..regions {
-                if frontier.grow_region(r, &mut scratch.scan, &mut probe, &mut out) {
+                if frontier.grow_region(r, &mut probe, &mut out) {
                     abort = probe.tripped();
                     break;
                 }
@@ -558,7 +501,6 @@ impl IncrementalMiner {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
                         scope.spawn(move || {
-                            let mut scan = RecurrenceScan::new();
                             let mut local = RegionOut::default();
                             let mut probe = control.start_with_halt(Some(halt));
                             loop {
@@ -571,12 +513,7 @@ impl IncrementalMiner {
                                 if i >= order.len() {
                                     break;
                                 }
-                                if frontier.grow_region(
-                                    order[i] as usize,
-                                    &mut scan,
-                                    &mut probe,
-                                    &mut local,
-                                ) {
+                                if frontier.grow_region(order[i] as usize, &mut probe, &mut local) {
                                     if let Some(r) = probe.tripped() {
                                         abort_cell.record(r);
                                     }
@@ -601,10 +538,14 @@ impl IncrementalMiner {
         // pattern co-occurring in the tail window was examined (its whole
         // extension chain keeps `Erec >= minRec` — Erec never decreases
         // under append) and re-emitted with fresh measures, so splicing it
-        // too would duplicate it. The store is in canonical order, so each
-        // examined set is looked up by binary search.
+        // too would duplicate it. The examined sets are every frontier
+        // singleton (each region starts with one) and the multi-item sets
+        // whose states the walk staged. The store is in canonical order, so
+        // each is looked up by binary search.
+        let singletons = frontier.items.iter().map(std::slice::from_ref);
+        let multi = out.updates.iter().map(|(items, _)| items.as_slice());
         let mut keep = vec![true; store.patterns.len()];
-        for (items, _) in &out.updates {
+        for items in singletons.chain(multi) {
             if let Ok(pi) = store.patterns.binary_search_by(|p| canonical_cmp(&p.items, items)) {
                 if let Some(k) = keep.get_mut(pi) {
                     *k = false;
@@ -673,7 +614,7 @@ impl IncrementalMiner {
 
         let result = MiningResult { patterns: merged, stats: mstats };
         if abort.is_none() {
-            store.refresh_delta(self, &result, &plan.dirty, window_start, out.updates);
+            store.refresh(self, &result, out.updates, false);
         }
         (result, abort, stats)
     }
@@ -713,15 +654,9 @@ impl RegionOut {
 impl Frontier<'_> {
     /// Enumerates and re-measures every frontier set whose lowest-ranked
     /// candidate is `r`. Returns `true` when the probe tripped mid-region.
-    fn grow_region(
-        &self,
-        r: usize,
-        scan: &mut RecurrenceScan,
-        probe: &mut ControlProbe<'_>,
-        out: &mut RegionOut,
-    ) -> bool {
+    fn grow_region(&self, r: usize, probe: &mut ControlProbe<'_>, out: &mut RegionOut) -> bool {
         let mut set = vec![self.items[r]];
-        self.grow_set(&mut set, self.tails[r], r + 1, scan, probe, out)
+        self.grow_set(&mut set, self.tails[r], r + 1, probe, out)
     }
 
     fn grow_set(
@@ -729,7 +664,6 @@ impl Frontier<'_> {
         set: &mut Vec<ItemId>,
         occ: &[u32],
         from: usize,
-        scan: &mut RecurrenceScan,
         probe: &mut ControlProbe<'_>,
         out: &mut RegionOut,
     ) -> bool {
@@ -739,72 +673,52 @@ impl Frontier<'_> {
         out.examined += 1;
         out.max_depth = out.max_depth.max(set.len());
 
-        // Resolve the resumable state: per-item checkpoint for singletons,
-        // resume-cache entry for multi-item sets, posting-list intersection
-        // on a miss. `advance` skips timestamps at or before the
-        // checkpoint's last fed one, which absorbs the rewritten boundary
-        // transaction after a same-timestamp merge.
-        let fallback = ItemCheckpoint::default();
-        let empty = PatternCheckpoint::default();
-        let (prior, prefix, full_feed): (ScanCheckpoint, &[_], Option<Vec<Timestamp>>) =
-            if set.len() == 1 {
-                let ck = self.store.checkpoints.get(set[0].index()).unwrap_or(&fallback);
-                if ck.postings_len > 0 || ck.ck.open.is_some() {
+        let (per, min_ps) = (self.params.per, self.params.min_ps);
+        let (summary, intervals) = match set.as_slice() {
+            // A singleton's whole-stream measures are the miner's live
+            // state; it counts as a hit when the item occurs before the tail
+            // window (`occ` is its postings from the window on).
+            &[item] => {
+                if occ.len() < self.miner.postings(item).len() {
                     out.hits += 1;
                 }
-                (ck.ck, &ck.intervals, None)
-            } else {
-                match self.store.resume.get(set.as_slice()) {
-                    Some(pc) => {
+                self.miner.item_state(item).map(|s| s.finished(min_ps)).unwrap_or_default()
+            }
+            // A multi-item set resumes its cached state over the tail, or
+            // rebuilds it by posting-list intersection on a miss. Feeding
+            // skips timestamps at or before the state's last fed one, which
+            // absorbs the rewritten boundary transaction after a
+            // same-timestamp merge.
+            items => {
+                let next = match self.store.resume.get(items) {
+                    Some(prior) => {
                         out.hits += 1;
-                        (pc.ck, &pc.intervals, None)
+                        let ts_of =
+                            |&tx: &u32| self.miner.db().transaction(tx as usize).timestamp();
+                        prior.advanced(per, min_ps, occ.iter().map(ts_of))
                     }
-                    None => (empty.ck, &empty.intervals, Some(cooccurrence_ts(self.miner, set))),
-                }
-            };
-        let done = match &full_feed {
-            Some(ts) => advance(
-                scan,
-                self.params.per,
-                self.params.min_ps,
-                prior,
-                prefix,
-                ts.iter().copied(),
-            ),
-            None => advance(
-                scan,
-                self.params.per,
-                self.params.min_ps,
-                prior,
-                prefix,
-                occ.iter().map(|&tx| self.miner.db().transaction(tx as usize).timestamp()),
-            ),
+                    None => PatternCheckpoint::default().advanced(
+                        per,
+                        min_ps,
+                        cooccurrence_ts(self.miner, items),
+                    ),
+                };
+                let measured = next.finished(min_ps);
+                out.updates.push((items.to_vec(), next));
+                measured
+            }
         };
-        if set.len() > 1 {
-            out.updates
-                .push((set.clone(), PatternCheckpoint::before_finish(done.next, &done.intervals)));
-        } else {
-            // Singleton checkpoints live in the per-item table; the refresh
-            // re-derives them for every dirty item, so only record the
-            // examination for the retained-pattern split.
-            out.updates.push((set.clone(), PatternCheckpoint::default()));
+        if summary.interesting >= self.params.min_rec {
+            out.fresh.push(RecurringPattern::new(set.clone(), summary.support, intervals));
         }
-        let grow_on = done.summary.erec >= self.params.min_rec;
-        if done.summary.interesting >= self.params.min_rec {
-            out.fresh.push(RecurringPattern::new(
-                set.clone(),
-                done.summary.support,
-                done.intervals,
-            ));
-        }
-        if grow_on {
+        if summary.erec >= self.params.min_rec {
             for j in from..self.items.len() {
                 let child = intersect_sorted(occ, self.tails[j]);
                 if child.is_empty() {
                     continue;
                 }
                 set.push(self.items[j]);
-                let aborted = self.grow_set(set, &child, j + 1, scan, probe, out);
+                let aborted = self.grow_set(set, &child, j + 1, probe, out);
                 set.pop();
                 if aborted {
                     return true;
@@ -837,7 +751,9 @@ fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::growth::RpGrowth;
+    use crate::measures::RecurrenceScan;
     use crate::params::RpParams;
+    use crate::pattern::PeriodicInterval;
     use rpm_timeseries::{running_example_db, TransactionDb};
 
     fn mine_resolved(db: &TransactionDb, p: ResolvedParams) -> MiningResult {
@@ -862,7 +778,11 @@ mod tests {
         assert_eq!(stats.mode, DeltaMode::Full(FullReason::ColdStore));
         assert!(store.is_warm());
         assert_eq!(store.base_len(), 40);
-        assert!(store.checkpoint_count() > 0, "a full refresh warms the checkpoints");
+        assert_eq!(
+            store.checkpoint_count(),
+            first.patterns.iter().filter(|p| p.items.len() > 1).count(),
+            "a full refresh caches one resume state per multi-item pattern"
+        );
         assert_bit_identical(&miner, &first, "cold full mine");
 
         // Appending a transaction of a brand-new rare item keeps the dirty
@@ -1024,6 +944,28 @@ mod tests {
         let (result, stats) = miner.mine_delta(&mut store);
         assert_eq!(stats.mode, DeltaMode::Delta, "a boundary merge stays on the delta path");
         assert_bit_identical(&miner, &result, "boundary merge");
+    }
+
+    #[test]
+    fn isolated_last_occurrence_counts_on_the_delta_path() {
+        // At minPS 1, an item appended once, as the stream's last
+        // transaction, has only the open run that Algorithm 1 folds at the
+        // end of the stream. The live state read by the delta must count
+        // it (Erec = Rec = 1), so the item is emitted.
+        let params = ResolvedParams::new(2, 1, 1);
+        let mut miner = IncrementalMiner::new(params);
+        let mut store = PatternStore::new();
+        for ts in 0..30 {
+            miner.append(ts, &["a"]).unwrap();
+        }
+        miner.mine_delta(&mut store);
+        miner.append(40, &["late"]).unwrap();
+        let (result, stats) = miner.mine_delta(&mut store);
+        assert_eq!(stats.mode, DeltaMode::Delta);
+        assert_bit_identical(&miner, &result, "isolated last occurrence");
+        let late = miner.db().items().id("late").unwrap();
+        let p = result.patterns.iter().find(|p| p.items == [late]).expect("the one run counts");
+        assert_eq!(p.intervals, [PeriodicInterval { start: 40, end: 40, periodic_support: 1 }]);
     }
 
     #[test]
@@ -1217,6 +1159,25 @@ mod tests {
         assert_bit_identical(&miner, &result, "rare-item delta");
     }
 
+    /// Checks every item's live scan state against a fresh scan of the
+    /// item's timestamps in the accumulated database: the measures API and
+    /// Algorithm 5, which shares no code with the state machine.
+    fn assert_live_states_match_oracles(miner: &IncrementalMiner, ctx: &str) {
+        use crate::measures::{erec, get_recurrence, interesting_intervals, recurrence};
+        let p = miner.params();
+        for idx in 0..miner.db().item_count() {
+            let item = ItemId(idx as u32);
+            let ts = miner.db().timestamps_of(&[item]);
+            let (s, intervals) =
+                miner.item_state(item).map(|st| st.finished(p.min_ps)).unwrap_or_default();
+            let fresh = (ts.len(), erec(&ts, p.per, p.min_ps), recurrence(&ts, p.per, p.min_ps));
+            assert_eq!((s.support, s.erec, s.interesting), fresh, "{ctx} item {idx}");
+            assert_eq!(intervals, interesting_intervals(&ts, p.per, p.min_ps), "{ctx} item {idx}");
+            let verdict = (s.interesting >= p.min_rec).then_some(intervals);
+            assert_eq!(get_recurrence(&ts, p), verdict, "{ctx} item {idx}");
+        }
+    }
+
     #[test]
     fn randomized_interleaving_of_append_mine_delta_and_mine() {
         // The randomized-equivalence suite of `incremental.rs`, extended to
@@ -1224,7 +1185,10 @@ mod tests {
         // the delta path must be bit-identical to batch at every probe
         // point, across both sides of the tail cost model (early dense
         // probes append a tail comparable to the stream and cross it,
-        // later ones stay under).
+        // later ones stay under). At every probe a two-worker delta on a
+        // second store, the naive miners and the per-item states are
+        // checked too; `ts += 0..3` makes same-timestamp merges common.
+        use crate::naive::{apriori_rp, brute_force};
         use rpm_timeseries::prng::Pcg32;
         let mut rng = Pcg32::seed_from_u64(7);
         let mut delta_steps = 0usize;
@@ -1238,6 +1202,7 @@ mod tests {
             );
             let mut miner = IncrementalMiner::new(params);
             let mut store = PatternStore::new();
+            let mut par_store = PatternStore::new();
             let mut ts = 0;
             let density = if round % 2 == 0 { 0.15 } else { 0.5 };
             for step in 0..80 {
@@ -1260,14 +1225,24 @@ mod tests {
                         }
                     }
                     let batch = mine_resolved(miner.db(), params);
-                    assert_eq!(
-                        result.patterns, batch.patterns,
-                        "round {round} step {step} params {params:?} mode {:?}",
-                        stats.mode
-                    );
+                    let ctx = format!("round {round} step {step} params {params:?}");
+                    assert_eq!(result.patterns, batch.patterns, "{ctx} mode {:?}", stats.mode);
                     // The incremental (non-delta) miner stays on the same
                     // stream: interleaving it must not disturb the store.
                     assert_eq!(miner.mine().patterns, batch.patterns);
+                    let (par, abort, par_stats) = miner.mine_delta_controlled(
+                        &mut par_store,
+                        &RunControl::new(),
+                        &mut MineScratch::new(),
+                        2,
+                    );
+                    assert!(abort.is_none(), "{ctx}");
+                    assert_eq!(par.patterns, batch.patterns, "{ctx}: two-worker delta");
+                    assert_eq!(par_stats.mode, stats.mode, "{ctx}");
+                    assert_eq!(par_stats.checkpoint_hits, stats.checkpoint_hits, "{ctx}");
+                    assert_eq!(brute_force(miner.db(), params), batch.patterns, "{ctx}");
+                    assert_eq!(apriori_rp(miner.db(), params).0, batch.patterns, "{ctx}");
+                    assert_live_states_match_oracles(&miner, &ctx);
                 }
             }
         }

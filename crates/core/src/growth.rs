@@ -16,7 +16,7 @@ use rpm_timeseries::{ItemId, Timestamp, TransactionDb};
 use crate::checkpoint::{PatternCheckpoint, ResumeEntry};
 use crate::engine::control::{AbortReason, ControlProbe, RunControl};
 use crate::engine::observer::{Observer, Phase, NOOP};
-use crate::measures::{IntervalScan, RecurrenceScan, ScanSummary};
+use crate::measures::{RecurrenceScan, ScanCheckpoint};
 use crate::merge::MergeHeap;
 use crate::parallel::{grow_regions, insert_chunked};
 use crate::params::{ResolvedParams, RpParams};
@@ -264,11 +264,12 @@ impl MineScratch {
             if support < params.min_ps * params.min_rec {
                 continue;
             }
-            let mut scan = IntervalScan::new(params.per, params.min_ps);
+            let mut scan = ScanCheckpoint::default();
             let mut proven = false;
-            // Only `Erec ≥ minRec` matters here, and the bound is monotone
-            // in the scanned prefix — bail out of the merge the moment the
-            // rank is proven, instead of draining its whole projection.
+            // Only `Erec ≥ minRec` matters here, and the bound read off the
+            // scanned prefix is monotone in it — bail out of the merge the
+            // moment the rank is proven, instead of draining its whole
+            // projection (a drained merge leaves the final verdict).
             heap.merge_while(
                 segs.len() as u32,
                 |i| {
@@ -276,12 +277,12 @@ impl MineScratch {
                     &path_ts[pb.ts as usize..pb.te as usize]
                 },
                 |t| {
-                    scan.feed(t);
-                    proven = scan.erec_so_far() >= params.min_rec;
+                    scan.feed(t, params.per, params.min_ps);
+                    proven = scan.finished(params.min_ps).erec >= params.min_rec;
                     !proven
                 },
             );
-            if proven || scan.finish().erec >= params.min_rec {
+            if proven {
                 keep[r as usize] = true;
                 max_kept = Some(max_kept.map_or(r, |m: u32| m.max(r)));
             }
@@ -503,10 +504,9 @@ pub(crate) fn mine_list(
 ///
 /// `top` marks the call on the top-level (global) tree, whose ranks are the
 /// RP-list candidates themselves: their merged singleton ts-lists are
-/// exactly what the list's build scan already measured (transactions arrive
-/// in ascending timestamp order), so the retained [`RpList::singleton`]
-/// summary and intervals are reused instead of re-merging the whole tree.
-/// Recursive calls on conditional trees pass `false`.
+/// exactly the per-item streams the list was built from, so the list's
+/// [`RpList::singleton`] measures are used instead of re-merging the whole
+/// tree. Recursive calls on conditional trees pass `false`.
 ///
 /// Returns `true` when the run was aborted by `exec`'s probe; everything
 /// pushed to `out` up to that point is a sound partial result.
@@ -538,10 +538,7 @@ pub(crate) fn grow(
         stats.candidates_checked += 1;
         let stored = if top { list.singleton(rank) } else { None };
         let (summary, ck) = match stored {
-            Some((rec, _)) => {
-                let e = &list.candidates()[rank as usize];
-                (ScanSummary { support: e.support, runs: 0, interesting: rec, erec: e.erec }, None)
-            }
+            Some((summary, _)) => (summary, None),
             None => {
                 let MineScratch { heap, scan, .. } = &mut *scratch;
                 scan.reset(params.per, params.min_ps);
@@ -557,8 +554,8 @@ pub(crate) fn grow(
             suffix.push(list.item_at(rank));
             if summary.interesting >= params.min_rec {
                 // Rec(X) ≥ minRec ⇔ Algorithm 5 succeeds; the intervals were
-                // collected during the same merge pass (or retained by the
-                // RP-list build scan for top-level singletons).
+                // collected during the same merge pass (or, for top-level
+                // singletons, by the RP-list's per-item state).
                 let intervals = match stored {
                     Some((_, intervals)) => intervals.to_vec(),
                     None => scratch.scan.intervals().to_vec(),

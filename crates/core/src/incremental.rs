@@ -4,20 +4,21 @@
 //! pattern model.
 //!
 //! [`IncrementalMiner`] ingests transactions in timestamp order and
-//! maintains, per item, the same `(idl, ps, erec)` state machine that
-//! Algorithm 1 keeps during its batch scan ([`IntervalScan`]). A call to
-//! [`IncrementalMiner::mine`] therefore skips RP-growth's first database
-//! pass entirely: the RP-list is materialised from the live scanners and
-//! handed to the batch miner's pipeline, so only the tree construction and
-//! growth run over the stored transactions. The delta miner's full
-//! fallback ([`crate::delta`]) builds its list the same way.
+//! maintains, per item, the crate's one per-item scan state: Algorithm 1's
+//! `(idl, ps, erec)` record plus the interesting intervals closed so far. A
+//! call to [`IncrementalMiner::mine`] therefore skips RP-growth's first
+//! database pass entirely: the RP-list, singleton measures included, is
+//! read off the live states, so only the tree construction and growth run
+//! over the stored transactions. The delta miner ([`crate::delta`]) reads
+//! its full fallback's list and every dirty singleton's measures the same
+//! way.
 
 use rpm_timeseries::{fnv1a, ItemId, Timestamp, TransactionDb, FNV1A_OFFSET};
 
+use crate::checkpoint::PatternCheckpoint;
 use crate::engine::observer::NOOP;
 use crate::engine::RunControl;
 use crate::growth::{mine_list, MineScratch, MiningResult};
-use crate::measures::IntervalScan;
 use crate::params::ResolvedParams;
 use crate::rplist::RpList;
 
@@ -41,11 +42,9 @@ use crate::rplist::RpList;
 pub struct IncrementalMiner {
     params: ResolvedParams,
     db: TransactionDb,
-    scans: Vec<IntervalScan>,
-    /// Last timestamp fed per item — guards against double-feeding when an
-    /// item arrives again in a same-timestamp merge (the batch scan sees
-    /// each (item, transaction) incidence once).
-    last_fed: Vec<Option<Timestamp>>,
+    /// Per item: Algorithm 1's resumable state over the whole stream and
+    /// the interesting intervals it has closed.
+    scans: Vec<PatternCheckpoint>,
     /// Per-item postings: ascending indices of the transactions containing
     /// the item. The delta miner ([`IncrementalMiner::mine_delta`]) unions
     /// the postings of the dirty candidates to visit only the transactions
@@ -78,14 +77,7 @@ impl IncrementalMiner {
     pub fn with_items(items: rpm_timeseries::ItemTable, params: ResolvedParams) -> Self {
         let mut db = TransactionDb::builder().build();
         *db.items_mut() = items;
-        Self {
-            params,
-            db,
-            scans: Vec::new(),
-            last_fed: Vec::new(),
-            postings: Vec::new(),
-            prefix_hashes: Vec::new(),
-        }
+        Self { params, db, scans: Vec::new(), postings: Vec::new(), prefix_hashes: Vec::new() }
     }
 
     /// The parameters the miner was created with.
@@ -139,16 +131,13 @@ impl IncrementalMiner {
         for id in ids {
             let idx = id.index();
             if idx >= self.scans.len() {
-                self.scans.resize_with(idx + 1, || {
-                    IntervalScan::new(self.params.per, self.params.min_ps)
-                });
-                self.last_fed.resize(idx + 1, None);
+                self.scans.resize_with(idx + 1, PatternCheckpoint::default);
                 self.postings.resize_with(idx + 1, Vec::new);
             }
-            if self.last_fed[idx] != Some(ts) {
-                self.scans[idx].feed(ts);
-                self.last_fed[idx] = Some(ts);
-            }
+            // The open run's `idl` is the same-timestamp guard: an item
+            // re-mentioned by a merge into the last transaction is skipped,
+            // as the batch scan sees each (item, transaction) incidence once.
+            self.scans[idx].feed(ts, self.params.per, self.params.min_ps);
             if self.postings[idx].last() != Some(&tx) {
                 self.postings[idx].push(tx);
             }
@@ -181,25 +170,22 @@ impl IncrementalMiner {
         }
     }
 
-    /// The live first-scan summary of `item` — what the batch RP-list scan
-    /// would report for it over the whole accumulated stream.
-    pub(crate) fn scan_summary(&self, item: ItemId) -> Option<crate::measures::ScanSummary> {
-        self.scans.get(item.index()).map(|s| s.clone().finish())
+    /// The live scan state of `item` over the whole accumulated stream —
+    /// what the batch RP-list scan reaches for it — or `None` for an item
+    /// never appended.
+    pub(crate) fn item_state(&self, item: ItemId) -> Option<&PatternCheckpoint> {
+        self.scans.get(item.index())
     }
 
-    /// The RP-list of the whole accumulated stream, materialised from the
-    /// live per-item scanners instead of a first database scan.
+    /// The RP-list of the whole accumulated stream, singletons included,
+    /// materialised from the live per-item states instead of a first
+    /// database scan.
     pub(crate) fn live_list(&self) -> RpList {
-        let summaries = self
-            .scans
-            .iter()
-            .enumerate()
-            .map(|(i, scan)| (ItemId(i as u32), scan.clone().finish()));
-        RpList::from_summaries(summaries, self.db.item_count(), self.params.min_rec)
+        RpList::from_states(&self.scans, self.db.item_count(), self.params)
     }
 
     /// Mines the recurring patterns of everything ingested so far. The
-    /// RP-list comes from the live per-item scanners (no first scan); tree
+    /// RP-list comes from the live per-item states (no first scan); tree
     /// construction and growth run as in the batch miner, so the output is
     /// identical to a [`crate::RpGrowth`] mine of [`IncrementalMiner::db`].
     pub fn mine(&self) -> MiningResult {
@@ -213,6 +199,7 @@ impl IncrementalMiner {
 mod tests {
     use super::*;
     use crate::engine::MiningSession;
+    use crate::pattern::PeriodicInterval;
     use rpm_timeseries::running_example_db;
 
     /// Batch-mining oracle, routed through the public engine entry point.
@@ -279,6 +266,15 @@ mod tests {
         let result = miner.mine();
         // {a,b} co-occur at ts 1.
         assert!(result.patterns.iter().any(|p| p.items.len() == 2));
+        // An isolated last occurrence: `c`'s only run is the open one, which
+        // Algorithm 1 folds at the end of the stream whatever its
+        // periodic-support. At minPS 1 it counts towards Erec and Rec.
+        miner.append(5, &["c"]).unwrap();
+        let result = miner.mine();
+        assert_eq!(result.patterns, mine_resolved(miner.db(), params).patterns);
+        let c = miner.db().items().id("c").unwrap();
+        let c_pat = result.patterns.iter().find(|p| p.items == [c]).expect("c's one run counts");
+        assert_eq!(c_pat.intervals, [PeriodicInterval { start: 5, end: 5, periodic_support: 1 }]);
     }
 
     #[test]

@@ -71,8 +71,8 @@ pub use growth::{MineScratch, MiningResult, MiningStats, RpGrowth};
 pub use incremental::IncrementalMiner;
 pub use index::PatternIndex;
 pub use measures::{
-    erec, get_recurrence, interesting_intervals, periodic_intervals, recurrence, IntervalScan,
-    OpenRun, RecurrenceScan, ScanCheckpoint, ScanSummary,
+    erec, get_recurrence, interesting_intervals, periodic_intervals, recurrence, OpenRun,
+    RecurrenceScan, ScanCheckpoint, ScanSummary,
 };
 pub use merge::MergeHeap;
 pub use naive::{apriori_rp, apriori_support_only, brute_force, AprioriStats};

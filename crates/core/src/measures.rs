@@ -49,7 +49,7 @@ pub fn interesting_intervals(
 
 /// `Rec(X)`: the number of interesting periodic-intervals (Definition 8).
 pub fn recurrence(ts: &[Timestamp], per: Timestamp, min_ps: usize) -> usize {
-    IntervalScan::new(per, min_ps).feed_all(ts).finish().interesting
+    scan_all(ts, per, min_ps).interesting
 }
 
 /// `Erec(X) = Σ_i ⌊ps_i / minPS⌋` — the estimated maximum recurrence any
@@ -57,7 +57,16 @@ pub fn recurrence(ts: &[Timestamp], per: Timestamp, min_ps: usize) -> usize {
 /// `X ⊆ Y ⇒ Erec(X) ≥ Erec(Y)` (Property 2), so `Erec(X) < minRec` prunes
 /// the entire superset lattice of `X`.
 pub fn erec(ts: &[Timestamp], per: Timestamp, min_ps: usize) -> usize {
-    IntervalScan::new(per, min_ps).feed_all(ts).finish().erec
+    scan_all(ts, per, min_ps).erec
+}
+
+/// One [`ScanCheckpoint`] pass over a sorted timestamp list.
+fn scan_all(ts: &[Timestamp], per: Timestamp, min_ps: usize) -> ScanSummary {
+    let mut state = ScanCheckpoint::default();
+    for &t in ts {
+        state.feed(t, per, min_ps);
+    }
+    state.finished(min_ps)
 }
 
 /// Algorithm 5 (`getRecurrence`): scans `TS^X` once, collecting the
@@ -98,7 +107,8 @@ pub fn get_recurrence(ts: &[Timestamp], params: ResolvedParams) -> Option<Vec<Pe
     (sub_db.len() >= params.min_rec).then_some(sub_db)
 }
 
-/// Aggregates produced by a single pass of [`IntervalScan`].
+/// Aggregates of one pass of Algorithm 1's state machine
+/// ([`ScanCheckpoint`]) over an ascending timestamp stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScanSummary {
     /// `Sup(X)` — number of timestamps fed.
@@ -111,101 +121,19 @@ pub struct ScanSummary {
     pub erec: usize,
 }
 
-/// Streaming computation of support / runs / `Rec` / `Erec` over an ascending
-/// timestamp stream — the same state machine Algorithm 1 keeps per item
-/// (`idl`, `ps`, `erec`) while scanning the database.
-#[derive(Debug, Clone)]
-pub struct IntervalScan {
-    per: Timestamp,
-    min_ps: usize,
-    state: Option<ItemState>,
-    summary: ScanSummary,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct ItemState {
-    idl: Timestamp,
-    ps: usize,
-}
-
-impl IntervalScan {
-    /// Creates a scanner for the given `per` and `minPS`.
-    pub fn new(per: Timestamp, min_ps: usize) -> Self {
-        Self { per, min_ps, state: None, summary: ScanSummary::default() }
+impl ScanSummary {
+    /// The run-closing transition, shared by the gap rule and the end of
+    /// the stream: folds `⌊ps/minPS⌋` into `Erec` and counts the run, and
+    /// an interesting one towards `Rec`, which it returns.
+    #[inline(always)]
+    fn close(&mut self, run: OpenRun, min_ps: usize) -> Option<PeriodicInterval> {
+        self.runs += 1;
+        self.erec += run.ps / min_ps;
+        (run.ps >= min_ps).then(|| {
+            self.interesting += 1;
+            PeriodicInterval { start: run.start, end: run.idl, periodic_support: run.ps }
+        })
     }
-
-    /// Feeds the next (ascending) timestamp.
-    pub fn feed(&mut self, ts: Timestamp) {
-        self.summary.support += 1;
-        match self.state {
-            None => self.state = Some(ItemState { idl: ts, ps: 1 }),
-            Some(st) => {
-                debug_assert!(ts >= st.idl, "timestamps must arrive in ascending order");
-                let ps = if ts - st.idl <= self.per {
-                    st.ps + 1
-                } else {
-                    self.close_run(st.ps);
-                    1
-                };
-                self.state = Some(ItemState { idl: ts, ps });
-            }
-        }
-    }
-
-    fn close_run(&mut self, ps: usize) {
-        self.summary.runs += 1;
-        self.summary.erec += ps / self.min_ps;
-        if ps >= self.min_ps {
-            self.summary.interesting += 1;
-        }
-    }
-
-    /// Lower bound on the final `erec` given what has been fed so far —
-    /// the closed runs' contribution plus the open run's. Monotone
-    /// non-decreasing as the scan progresses, so a consumer that only needs
-    /// `erec >= minRec` may stop feeding once this reaches `minRec`.
-    pub fn erec_so_far(&self) -> usize {
-        self.summary.erec + self.state.map_or(0, |st| st.ps / self.min_ps)
-    }
-
-    /// Feeds an entire sorted slice.
-    pub fn feed_all(mut self, ts: &[Timestamp]) -> Self {
-        for &t in ts {
-            self.feed(t);
-        }
-        self
-    }
-
-    /// Closes the final run and returns the aggregates (Algorithm 1 line 15).
-    pub fn finish(mut self) -> ScanSummary {
-        if let Some(st) = self.state.take() {
-            self.close_run(st.ps);
-        }
-        self.summary
-    }
-}
-
-/// A reusable scanner that fuses Algorithm 5 (`getRecurrence`) into a single
-/// streaming pass: besides the [`ScanSummary`] aggregates it **collects the
-/// interesting periodic-intervals** as runs close, so the mining hot path
-/// can decide emission (`interesting ≥ minRec` ⇔ `getRecurrence` succeeds)
-/// and produce the pattern's intervals without ever materializing the merged
-/// ts-list. `reset` clears all state but keeps the interval buffer's
-/// capacity — one `RecurrenceScan` serves a whole mining run.
-#[derive(Debug, Clone)]
-pub struct RecurrenceScan {
-    per: Timestamp,
-    min_ps: usize,
-    state: Option<RunState>,
-    summary: ScanSummary,
-    intervals: Vec<PeriodicInterval>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct RunState {
-    start: Timestamp,
-    idl: Timestamp,
-    ps: usize,
 }
 
 /// The still-open (not yet gap-closed) periodic run of a scan — the part of
@@ -220,11 +148,15 @@ pub struct OpenRun {
     pub ps: usize,
 }
 
-/// Resumable boundary state of a [`RecurrenceScan`]: the closed-run
-/// aggregates plus the open run. Feeding the post-boundary suffix into a
-/// scan resumed from this state is exactly equivalent to feeding the whole
-/// stream from scratch — `finish` only ever closes the open run, so a
-/// checkpoint taken **before** `finish` loses nothing.
+/// The resumable state of Algorithm 1 for one itemset: the closed-run
+/// aggregates plus the open run — the `(idl, ps, erec)` record the paper's
+/// first scan keeps per item, with `Sup` and `Rec` alongside. Every scan in
+/// the crate runs on it: the RP-list build and the incremental miner keep
+/// one per item, [`RecurrenceScan`] wraps one per candidate, and the
+/// conditional-tree `Erec` bound feeds a bare one. Feeding a suffix into a
+/// state taken at a boundary is exactly equivalent to feeding the whole
+/// stream from scratch: reading the whole-stream aggregates closes the open
+/// run in a copy, so the state itself stays resumable.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanCheckpoint {
     /// Aggregates over the closed runs (plus total support fed).
@@ -241,17 +173,72 @@ impl ScanCheckpoint {
     pub fn last_fed(&self) -> Option<Timestamp> {
         self.open.map(|o| o.idl)
     }
+
+    /// Algorithm 1 lines 5–12 for the next (ascending) timestamp: extends
+    /// the open run when `ts` lies within `per` of `idl`, otherwise closes
+    /// it and opens a new one. Returns the closed run when it was
+    /// interesting.
+    ///
+    /// Forced inline: it runs once per merged timestamp in growth's scans, and left to the
+    /// compiler, growth ran a third slower on the Twitter sim at `minRec` 3 (2-core host).
+    #[inline(always)]
+    pub(crate) fn feed(
+        &mut self,
+        ts: Timestamp,
+        per: Timestamp,
+        min_ps: usize,
+    ) -> Option<PeriodicInterval> {
+        self.summary.support += 1;
+        if let Some(run) = &mut self.open {
+            debug_assert!(ts >= run.idl, "timestamps must arrive in ascending order");
+            if ts - run.idl <= per {
+                run.idl = ts;
+                run.ps += 1;
+                return None;
+            }
+        }
+        let closed = self.open.replace(OpenRun { start: ts, idl: ts, ps: 1 });
+        closed.and_then(|run| self.summary.close(run, min_ps))
+    }
+
+    /// Line 15: closes the open run at the end of the stream, whatever its
+    /// periodic-support, and returns it when it was interesting.
+    #[inline]
+    pub(crate) fn finish(&mut self, min_ps: usize) -> Option<PeriodicInterval> {
+        self.open.take().and_then(|run| self.summary.close(run, min_ps))
+    }
+
+    /// The aggregates [`ScanCheckpoint::finish`] would report, leaving this
+    /// state resumable.
+    #[inline(always)]
+    pub(crate) fn finished(&self, min_ps: usize) -> ScanSummary {
+        let mut summary = self.summary;
+        if let Some(run) = self.open {
+            summary.close(run, min_ps);
+        }
+        summary
+    }
+}
+
+/// A reusable scanner that fuses Algorithm 5 (`getRecurrence`) into a single
+/// streaming pass: a [`ScanCheckpoint`] plus the parameters and a buffer
+/// that **collects the interesting periodic-intervals** as runs close, so
+/// the mining hot path can decide emission (`interesting ≥ minRec` ⇔
+/// `getRecurrence` succeeds) and produce the pattern's intervals without
+/// ever materializing the merged ts-list. `reset` clears all state but
+/// keeps the interval buffer's capacity — one `RecurrenceScan` serves a
+/// whole mining run.
+#[derive(Debug, Clone)]
+pub struct RecurrenceScan {
+    per: Timestamp,
+    min_ps: usize,
+    state: ScanCheckpoint,
+    intervals: Vec<PeriodicInterval>,
 }
 
 impl Default for RecurrenceScan {
     fn default() -> Self {
-        Self {
-            per: 0,
-            min_ps: 1,
-            state: None,
-            summary: ScanSummary::default(),
-            intervals: Vec::new(),
-        }
+        Self { per: 0, min_ps: 1, state: ScanCheckpoint::default(), intervals: Vec::new() }
     }
 }
 
@@ -266,39 +253,15 @@ impl RecurrenceScan {
         debug_assert!(min_ps >= 1, "minPS is at least 1 by definition");
         self.per = per;
         self.min_ps = min_ps.max(1);
-        self.state = None;
-        self.summary = ScanSummary::default();
+        self.state = ScanCheckpoint::default();
         self.intervals.clear();
     }
 
     /// Feeds the next (ascending) timestamp.
-    #[inline]
+    #[inline(always)]
     pub fn feed(&mut self, ts: Timestamp) {
-        self.summary.support += 1;
-        match self.state {
-            None => self.state = Some(RunState { start: ts, idl: ts, ps: 1 }),
-            Some(st) => {
-                debug_assert!(ts >= st.idl, "timestamps must arrive in ascending order");
-                if ts - st.idl <= self.per {
-                    self.state = Some(RunState { start: st.start, idl: ts, ps: st.ps + 1 });
-                } else {
-                    self.close_run(st);
-                    self.state = Some(RunState { start: ts, idl: ts, ps: 1 });
-                }
-            }
-        }
-    }
-
-    fn close_run(&mut self, st: RunState) {
-        self.summary.runs += 1;
-        self.summary.erec += st.ps / self.min_ps;
-        if st.ps >= self.min_ps {
-            self.summary.interesting += 1;
-            self.intervals.push(PeriodicInterval {
-                start: st.start,
-                end: st.idl,
-                periodic_support: st.ps,
-            });
+        if let Some(interval) = self.state.feed(ts, self.per, self.min_ps) {
+            self.intervals.push(interval);
         }
     }
 
@@ -306,18 +269,15 @@ impl RecurrenceScan {
     /// intervals stay available via [`RecurrenceScan::intervals`] until the
     /// next `reset`.
     pub fn finish(&mut self) -> ScanSummary {
-        if let Some(st) = self.state.take() {
-            self.close_run(st);
+        if let Some(interval) = self.state.finish(self.min_ps) {
+            self.intervals.push(interval);
         }
-        self.summary
+        self.state.summary
     }
 
-    /// The interesting periodic-intervals collected so far (complete after
-    /// [`RecurrenceScan::finish`]). For a scan started by
-    /// [`RecurrenceScan::reset`] this is all of them
-    /// (`intervals().len() == summary.interesting`); for a scan resumed via
-    /// [`RecurrenceScan::resume`] it is only the intervals closed **after**
-    /// the checkpoint — the caller owns the prefix.
+    /// The interesting periodic-intervals collected since the last
+    /// [`RecurrenceScan::reset`]; after [`RecurrenceScan::finish`] all of
+    /// them (`intervals().len() == summary.interesting`).
     pub fn intervals(&self) -> &[PeriodicInterval] {
         &self.intervals
     }
@@ -326,20 +286,7 @@ impl RecurrenceScan {
     /// [`RecurrenceScan::finish`] — finishing closes the open run, after
     /// which the state can no longer be continued.
     pub fn checkpoint(&self) -> ScanCheckpoint {
-        ScanCheckpoint {
-            summary: self.summary,
-            open: self.state.map(|st| OpenRun { start: st.start, idl: st.idl, ps: st.ps }),
-        }
-    }
-
-    /// Re-arms the scanner mid-stream from a [`ScanCheckpoint`], keeping the
-    /// interval buffer's capacity. Subsequent feeds continue the checkpointed
-    /// state machine; only intervals closing after the checkpoint land in
-    /// [`RecurrenceScan::intervals`].
-    pub fn resume(&mut self, per: Timestamp, min_ps: usize, at: ScanCheckpoint) {
-        self.reset(per, min_ps);
-        self.summary = at.summary;
-        self.state = at.open.map(|o| RunState { start: o.start, idl: o.idl, ps: o.ps });
+        self.state
     }
 
     /// Allocated capacity in bytes (for scratch-memory accounting).
@@ -439,21 +386,46 @@ mod tests {
         // per=1 ⇒ runs {1,2},{10},{20,21,22}; minPS=1 ⇒ all interesting.
         assert_eq!(recurrence(ts, 1, 1), 3);
         assert_eq!(erec(ts, 1, 1), 6); // Σ⌊ps/1⌋ = total support
+                                       // An isolated last occurrence is a run of its own, and Algorithm 1
+                                       // line 15 folds the open run whatever its periodic-support. (A
+                                       // transcription that folds it only when ps > 1 would report Rec 3
+                                       // and Erec 6 here.)
+        let isolated_last: &[Timestamp] = &[1, 2, 10, 20, 21, 22, 30];
+        assert_eq!(recurrence(isolated_last, 1, 1), 4);
+        assert_eq!(erec(isolated_last, 1, 1), 7);
+        assert_eq!(
+            interesting_intervals(isolated_last, 1, 1).last(),
+            Some(&PeriodicInterval { start: 30, end: 30, periodic_support: 1 })
+        );
+    }
+
+    /// The aggregates recomputed from the run split of Definition 5 — an
+    /// oracle independent of the streaming state machine.
+    fn oracle_summary(ts: &[Timestamp], per: Timestamp, min_ps: usize) -> ScanSummary {
+        let runs = periodic_intervals(ts, per);
+        ScanSummary {
+            support: ts.len(),
+            runs: runs.len(),
+            interesting: runs.iter().filter(|r| r.periodic_support >= min_ps).count(),
+            erec: runs.iter().map(|r| r.periodic_support / min_ps).sum(),
+        }
     }
 
     #[test]
     fn scan_summary_combines_all_measures() {
-        let s = IntervalScan::new(2, 3).feed_all(TS_AB).finish();
+        let s = scan_all(TS_AB, 2, 3);
         assert_eq!(s, ScanSummary { support: 7, runs: 3, interesting: 2, erec: 2 });
+        assert_eq!(s, oracle_summary(TS_AB, 2, 3));
     }
 
     #[test]
     fn streaming_matches_batch_on_incremental_feed() {
-        let mut scan = IntervalScan::new(2, 2);
+        let mut state = ScanCheckpoint::default();
         for &t in TS_AB {
-            scan.feed(t);
+            state.feed(t, 2, 2);
         }
-        let s = scan.finish();
+        let s = state.finished(2);
+        assert_eq!(s, oracle_summary(TS_AB, 2, 2));
         assert_eq!(s.interesting, recurrence(TS_AB, 2, 2));
         assert_eq!(s.erec, erec(TS_AB, 2, 2));
     }
@@ -467,7 +439,7 @@ mod tests {
                 scan.feed(t);
             }
             let summary = scan.finish();
-            assert_eq!(summary, IntervalScan::new(per, min_ps).feed_all(TS_AB).finish());
+            assert_eq!(summary, oracle_summary(TS_AB, per, min_ps));
             assert_eq!(scan.intervals().len(), summary.interesting);
             assert_eq!(scan.intervals(), interesting_intervals(TS_AB, per, min_ps));
             // Emission decision equals Algorithm 5 for every minRec.
@@ -486,9 +458,10 @@ mod tests {
 
     #[test]
     fn checkpoint_resume_matches_uninterrupted_scan_at_every_split() {
-        // Cutting the stream at any boundary and resuming from the
+        // Cutting the stream at any boundary and continuing from the
         // checkpoint must reproduce the uninterrupted scan bit for bit —
-        // the invariant suffix-resumable delta mining rests on.
+        // the invariant suffix-resumable delta mining rests on. Reading the
+        // whole-stream aggregates at the cut must not disturb the state.
         for (per, min_ps) in [(2, 3), (1, 1), (3, 2), (2, 1)] {
             let mut whole = RecurrenceScan::new();
             whole.reset(per, min_ps);
@@ -502,17 +475,16 @@ mod tests {
                 for &t in &TS_AB[..cut] {
                     prefix.feed(t);
                 }
-                let ck = prefix.checkpoint();
+                let mut ck = prefix.checkpoint();
                 assert_eq!(ck.last_fed(), TS_AB[..cut].last().copied());
+                assert_eq!(ck.finished(min_ps), oracle_summary(&TS_AB[..cut], per, min_ps));
                 let mut all = prefix.intervals().to_vec();
-                let mut resumed = RecurrenceScan::new();
-                resumed.resume(per, min_ps, ck);
                 for &t in &TS_AB[cut..] {
-                    resumed.feed(t);
+                    all.extend(ck.feed(t, per, min_ps));
                 }
-                let got = resumed.finish();
-                assert_eq!(got, expect, "per={per} min_ps={min_ps} cut={cut}");
-                all.extend_from_slice(resumed.intervals());
+                assert_eq!(ck.finished(min_ps), expect, "per={per} min_ps={min_ps} cut={cut}");
+                all.extend(ck.finish(min_ps));
+                assert_eq!(ck.summary, expect);
                 assert_eq!(all, interesting_intervals(TS_AB, per, min_ps));
             }
         }

@@ -8,10 +8,11 @@
 //! is bit-identical to the sequential one), then `grow_regions` derives
 //! each region from the immutable tree with no locking:
 //!
-//! * the singleton `TS^r` is a k-way merge over the ts-lists of all nodes in
-//!   the subtrees of `r`'s node-links — exactly the list the sequential
-//!   miner sees after pushing ranks `> r` up (Property 3 makes the segments
-//!   disjoint);
+//! * the singleton `TS^r` — the ts-lists of all nodes in the subtrees of
+//!   `r`'s node-links, exactly the list the sequential miner sees after
+//!   pushing ranks `> r` up (Property 3 makes the segments disjoint) — is
+//!   the candidate's per-item stream, so its measures are read off the
+//!   RP-list;
 //! * each `r`-node's conditional-pattern-base entry is its ancestor path
 //!   plus its subtree-merged ts-list, reproducing the sequential
 //!   `prefix_paths` at the moment `r` is bottom-most.
@@ -39,7 +40,6 @@ use crate::checkpoint::ResumeEntry;
 use crate::engine::control::{AbortReason, RunControl};
 use crate::engine::observer::Observer;
 use crate::growth::{grow, Exec, MineScratch, MiningStats, PathBounds};
-use crate::measures::ScanSummary;
 use crate::params::ResolvedParams;
 use crate::pattern::RecurringPattern;
 use crate::rplist::RpList;
@@ -259,23 +259,10 @@ fn mine_region(
             seg_bounds.push((s0, segs.len() as u32));
         }
     }
-    // The region's singleton ts-list is exactly what the RP-list build scan
-    // measured for this candidate, so reuse the retained summary and
-    // intervals; fall back to fusing the scan into the segments' k-way
-    // merge for lists built without retention.
-    let stored = list.singleton(r);
-    let summary = match stored {
-        Some((rec, _)) => {
-            let e = &list.candidates()[r as usize];
-            ScanSummary { support: e.support, runs: 0, interesting: rec, erec: e.erec }
-        }
-        None => {
-            let MineScratch { heap, scan, segs, .. } = &mut *scratch;
-            scan.reset(params.per, params.min_ps);
-            heap.merge(segs.len() as u32, |i| &tree.node(segs[i as usize]).ts, |t| scan.feed(t));
-            scan.finish()
-        }
-    };
+    // The region's singleton ts-list is exactly the candidate's per-item
+    // stream, whose measures the RP-list carries. Every rank of the global
+    // tree is a candidate, so the lookup always succeeds.
+    let Some((summary, intervals)) = list.singleton(r) else { return false };
     if summary.erec < params.min_rec {
         return false;
     }
@@ -283,11 +270,7 @@ fn mine_region(
     suffix.clear();
     suffix.push(list.item_at(r));
     if summary.interesting >= params.min_rec {
-        let intervals = match stored {
-            Some((_, intervals)) => intervals.to_vec(),
-            None => scratch.scan.intervals().to_vec(),
-        };
-        out.push(RecurringPattern::new(suffix.clone(), summary.support, intervals));
+        out.push(RecurringPattern::new(suffix.clone(), summary.support, intervals.to_vec()));
     }
 
     // Conditional-pattern-base: per r-node, the ancestor path plus the

@@ -4,7 +4,8 @@
 
 use rpm_timeseries::{ItemId, TransactionDb};
 
-use crate::measures::RecurrenceScan;
+use crate::checkpoint::PatternCheckpoint;
+use crate::measures::ScanSummary;
 use crate::params::ResolvedParams;
 use crate::pattern::PeriodicInterval;
 
@@ -29,10 +30,10 @@ pub struct RpList {
     candidates: Vec<RpListEntry>,
     rank: Vec<Option<u32>>,
     scanned_items: usize,
-    /// Per-candidate (by rank) `Rec` and interesting intervals retained from
-    /// the build scan. `None` for lists assembled from bare summaries
-    /// ([`RpList::from_summaries`]), whose scan states cannot replay runs.
-    singletons: Option<Vec<(usize, Vec<PeriodicInterval>)>>,
+    /// Per candidate (by rank): its whole-stream scan aggregates and
+    /// interesting intervals, read off the per-item state the list was
+    /// built from.
+    singletons: Vec<(ScanSummary, Vec<PeriodicInterval>)>,
 }
 
 impl RpList {
@@ -42,90 +43,63 @@ impl RpList {
     /// and the periodic-support of its current sub-database (`ps`), folding
     /// `⌊ps/minPS⌋` into `erec` whenever a gap `> per` closes a sub-database
     /// (lines 7–12), with a final fold after the scan (line 15). That state
-    /// machine is [`RecurrenceScan`], which also records each candidate's
-    /// interesting intervals — transactions arrive in ascending timestamp
-    /// order, so this scan sees exactly the merged singleton ts-list the
-    /// miner would otherwise re-derive from the tree, and the miners reuse
-    /// the retained result instead (see [`crate::growth`]).
+    /// machine is [`crate::measures::ScanCheckpoint`], fed here into fresh
+    /// per-item states that also record the interesting intervals —
+    /// transactions arrive in ascending timestamp order, so this scan sees
+    /// exactly the merged singleton ts-list the miner would otherwise
+    /// re-derive from the tree, and the miners reuse the result instead
+    /// (see [`crate::growth`]).
     pub fn build(db: &TransactionDb, params: ResolvedParams) -> Self {
-        let n_items = db.item_count();
-        let mut scans: Vec<Option<RecurrenceScan>> = Vec::new();
-        scans.resize_with(n_items, || None);
+        let mut states = vec![PatternCheckpoint::default(); db.item_count()];
         for t in db.transactions() {
-            let ts = t.timestamp();
             for &item in t.items() {
-                scans[item.index()]
-                    .get_or_insert_with(|| {
-                        let mut s = RecurrenceScan::new();
-                        s.reset(params.per, params.min_ps);
-                        s
-                    })
-                    .feed(ts);
+                if let Some(state) = states.get_mut(item.index()) {
+                    state.feed(t.timestamp(), params.per, params.min_ps);
+                }
             }
         }
-        let mut candidates: Vec<RpListEntry> = Vec::new();
-        let mut raw: Vec<(usize, usize, Vec<PeriodicInterval>)> = Vec::new();
-        for (idx, scan) in scans.iter_mut().enumerate() {
-            let Some(scan) = scan else { continue };
-            let summary = scan.finish();
-            if summary.erec >= params.min_rec {
-                candidates.push(RpListEntry {
-                    item: ItemId(idx as u32),
-                    support: summary.support,
-                    erec: summary.erec,
-                });
-                raw.push((idx, summary.interesting, scan.intervals().to_vec()));
-            }
-        }
-        // Line 16: descending support, deterministic tie-break on item id.
-        candidates.sort_by(|a, b| b.support.cmp(&a.support).then_with(|| a.item.cmp(&b.item)));
-        let mut rank = vec![None; n_items];
-        for (r, e) in candidates.iter().enumerate() {
-            rank[e.item.index()] = Some(r as u32);
-        }
-        let mut singletons: Vec<(usize, Vec<PeriodicInterval>)> =
-            vec![(0, Vec::new()); candidates.len()];
-        for (idx, rec, intervals) in raw {
-            let r = rank[idx].expect("every retained item has a rank") as usize;
-            singletons[r] = (rec, intervals);
-        }
-        Self { candidates, rank, scanned_items: n_items, singletons: Some(singletons) }
+        Self::from_states(&states, db.item_count(), params)
     }
 
-    /// Builds an RP-list directly from per-item scan summaries — used by
-    /// the incremental miner, whose `IntervalScan` states are maintained as
-    /// transactions stream in instead of by a batch database scan.
-    pub(crate) fn from_summaries(
-        summaries: impl IntoIterator<Item = (ItemId, crate::measures::ScanSummary)>,
+    /// The one constructor: prunes and orders the items whose per-item scan
+    /// states are `states` (indexed by item id; the incremental miner's
+    /// live states, or the fresh ones of [`RpList::build`]), keeping each
+    /// candidate's whole-stream measures. `n_items` is the vocabulary size.
+    pub(crate) fn from_states(
+        states: &[PatternCheckpoint],
         n_items: usize,
-        min_rec: usize,
+        params: ResolvedParams,
     ) -> Self {
-        let mut candidates: Vec<RpListEntry> = summaries
-            .into_iter()
-            .filter(|(_, s)| s.erec >= min_rec)
-            .map(|(item, s)| RpListEntry { item, support: s.support, erec: s.erec })
+        let mut scored: Vec<(RpListEntry, (ScanSummary, Vec<PeriodicInterval>))> = states
+            .iter()
+            .zip(0u32..)
+            .filter(|(state, _)| state.ck.finished(params.min_ps).erec >= params.min_rec)
+            .map(|(state, id)| {
+                let (summary, intervals) = state.finished(params.min_ps);
+                let entry =
+                    RpListEntry { item: ItemId(id), support: summary.support, erec: summary.erec };
+                (entry, (summary, intervals))
+            })
             .collect();
-        candidates.sort_by(|a, b| b.support.cmp(&a.support).then_with(|| a.item.cmp(&b.item)));
+        // Line 16: descending support, deterministic tie-break on item id.
+        scored
+            .sort_by(|(a, _), (b, _)| b.support.cmp(&a.support).then_with(|| a.item.cmp(&b.item)));
+        let (candidates, singletons): (Vec<_>, Vec<_>) = scored.into_iter().unzip();
         let mut rank = vec![None; n_items];
-        for (r, e) in candidates.iter().enumerate() {
-            rank[e.item.index()] = Some(r as u32);
+        for (e, r) in candidates.iter().zip(0u32..) {
+            if let Some(slot) = rank.get_mut(e.item.index()) {
+                *slot = Some(r);
+            }
         }
-        Self { candidates, rank, scanned_items: n_items, singletons: None }
+        Self { candidates, rank, scanned_items: n_items, singletons }
     }
 
-    /// The retained singleton scan of the candidate at `rank`: its `Rec` and
-    /// interesting intervals, exactly what a merged scan of `TS^item` yields.
-    /// `None` when the list was built without retention
-    /// ([`RpList::from_summaries`]).
-    ///
-    /// # Panics
-    /// Panics for out-of-range ranks.
+    /// The candidate at `rank` measured on its own: its scan aggregates and
+    /// interesting intervals, exactly what a merged scan of `TS^item`
+    /// yields. `None` only for out-of-range ranks.
     #[inline]
-    pub(crate) fn singleton(&self, rank: u32) -> Option<(usize, &[PeriodicInterval])> {
-        self.singletons.as_ref().map(|s| {
-            let (rec, intervals) = &s[rank as usize];
-            (*rec, intervals.as_slice())
-        })
+    pub(crate) fn singleton(&self, rank: u32) -> Option<(ScanSummary, &[PeriodicInterval])> {
+        self.singletons.get(rank as usize).map(|(s, intervals)| (*s, intervals.as_slice()))
     }
 
     /// The candidate items in RP-tree insertion order (descending support).
@@ -205,6 +179,13 @@ mod tests {
             labels,
             vec![("a", 8, 2), ("b", 7, 2), ("c", 7, 2), ("d", 6, 2), ("e", 6, 2), ("f", 6, 2),]
         );
+        // Each candidate carries its own measures, rank for rank.
+        for (e, r) in list.candidates().iter().zip(0u32..) {
+            let ts = db.timestamps_of(&[e.item]);
+            let (summary, intervals) = list.singleton(r).unwrap();
+            assert_eq!((summary.support, summary.erec), (e.support, e.erec));
+            assert_eq!(intervals, crate::measures::interesting_intervals(&ts, 2, 3));
+        }
     }
 
     #[test]
@@ -242,6 +223,25 @@ mod tests {
         let db = running_example_db();
         let list = RpList::build(&db, ResolvedParams::new(2, 1, 1));
         assert_eq!(list.len(), 7); // even g qualifies: every run counts
+
+        // An item whose only occurrence is the stream's last transaction has
+        // just the open run Algorithm 1 folds at line 15, whatever its
+        // periodic-support: with minPS 1 that single run is interesting, so
+        // the item is kept with `Erec = Rec = 1`.
+        let mut b = TransactionDb::builder();
+        for t in db.transactions() {
+            let labels: Vec<&str> = t.items().iter().map(|&i| db.items().label(i)).collect();
+            b.add_labeled(t.timestamp(), &labels);
+        }
+        b.add_labeled(30, &["late"]);
+        let db = b.build();
+        let params = ResolvedParams::new(2, 1, 1);
+        let list = RpList::build(&db, params);
+        assert_eq!(list.len(), 8);
+        let late = list.rank(db.items().id("late").unwrap()).expect("the isolated item is kept");
+        let (summary, intervals) = list.singleton(late).unwrap();
+        assert_eq!((summary.support, summary.erec, summary.interesting), (1, 1, 1));
+        assert_eq!(intervals, [PeriodicInterval { start: 30, end: 30, periodic_support: 1 }]);
     }
 
     #[test]

@@ -93,7 +93,9 @@ impl TsTree {
     /// allocation (the node arena, per-node child/ts capacity, link lists).
     pub fn reset(&mut self, n_ranks: usize) {
         for &r in &self.used_ranks {
-            self.links[r as usize].clear();
+            if let Some(links) = self.links.get_mut(r as usize) {
+                links.clear();
+            }
         }
         self.used_ranks.clear();
         if self.links.len() < n_ranks {
@@ -101,9 +103,10 @@ impl TsTree {
         }
         self.n_ranks = n_ranks;
         self.live = 1;
-        let root = &mut self.nodes[ROOT as usize];
-        root.children.clear();
-        root.ts.clear();
+        if let Some(root) = self.nodes.get_mut(ROOT as usize) {
+            root.children.clear();
+            root.ts.clear();
+        }
     }
 
     /// Number of ranks the tree was created (or last reset) for.

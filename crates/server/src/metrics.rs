@@ -1,6 +1,7 @@
 //! Service-level metrics: request counters plus engine metrics aggregated
 //! across every mining run the server has executed.
 
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -31,7 +32,8 @@ pub struct ServerMetrics {
     /// Engine runs interrupted by a deadline or shutdown.
     pub mine_partial: AtomicU64,
     /// Engine runs that skipped the first scan via the incremental miner's
-    /// live scanners (request params matched the dataset's hot params).
+    /// live per-item states (request params matched the dataset's hot
+    /// params).
     pub mine_fastpath: AtomicU64,
     /// Delta-mine calls that stayed on the incremental path (dirty-frontier
     /// re-growth or an unchanged-stream no-op), across the mine fast path
@@ -46,8 +48,11 @@ pub struct ServerMetrics {
     pub delta_remined: AtomicU64,
     /// Tail-window transactions scanned by checkpointed delta mines.
     pub delta_tail_tx: AtomicU64,
-    /// Candidate re-measurements resumed from a stored measure checkpoint
-    /// (the remainder rebuilt state by posting-list intersection).
+    /// Candidate re-measurements that continued a scan state instead of
+    /// rebuilding one: multi-item candidates resumed from a pattern store's
+    /// cache (the remainder rebuilt state by posting-list intersection), and
+    /// singletons whose item occurs before the tail window, measured by the
+    /// miner's live per-item state.
     pub delta_checkpoint_hits: AtomicU64,
     /// High-water mark of worker threads a delta frontier re-measurement
     /// ran on.
@@ -114,68 +119,56 @@ impl ServerMetrics {
         repl: Option<&ReplState>,
     ) -> String {
         let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let wall_ms = format!("{:.3}", get(&self.mining_wall_micros) as f64 / 1e3);
+        let top: [Row; 9] = [
+            ("requests_total", &get(&self.requests_total)),
+            ("client_errors", &get(&self.client_errors)),
+            ("server_errors", &get(&self.server_errors)),
+            ("rejected_backpressure", &get(&self.rejected_backpressure)),
+            ("datasets", &datasets),
+            ("appends", &get(&self.appends)),
+            ("appends_patched", &get(&self.appends_patched)),
+            ("appended_transactions", &get(&self.appended_transactions)),
+            ("active_queries", &get(&self.active_queries)),
+        ];
+        let mine: [Row; 14] = [
+            ("runs", &get(&self.mine_runs)),
+            ("complete", &get(&self.mine_complete)),
+            ("partial", &get(&self.mine_partial)),
+            ("fastpath", &get(&self.mine_fastpath)),
+            ("delta", &get(&self.delta_mines)),
+            ("delta_full", &get(&self.delta_full)),
+            ("delta_retained", &get(&self.delta_retained)),
+            ("delta_remined", &get(&self.delta_remined)),
+            ("delta_tail_tx", &get(&self.delta_tail_tx)),
+            ("delta_checkpoint_hits", &get(&self.delta_checkpoint_hits)),
+            ("delta_parallel_workers", &get(&self.delta_parallel_workers)),
+            ("wall_ms", &wall_ms),
+            ("candidates_checked", &get(&self.candidates_checked)),
+            ("patterns_found", &get(&self.patterns_found)),
+        ];
+        let cache: [Row; 7] = [
+            ("hits", &cache.hits),
+            ("misses", &cache.misses),
+            ("evictions", &cache.evictions),
+            ("invalidations", &cache.invalidations),
+            ("patches", &cache.patches),
+            ("entries", &cache.entries),
+            ("bytes", &cache.bytes),
+        ];
         let mut s = String::from("{\n");
-        s.push_str(&format!("  \"requests_total\": {},\n", get(&self.requests_total)));
-        s.push_str(&format!("  \"client_errors\": {},\n", get(&self.client_errors)));
-        s.push_str(&format!("  \"server_errors\": {},\n", get(&self.server_errors)));
-        s.push_str(&format!(
-            "  \"rejected_backpressure\": {},\n",
-            get(&self.rejected_backpressure)
-        ));
-        s.push_str(&format!("  \"datasets\": {datasets},\n"));
-        s.push_str(&format!("  \"appends\": {},\n", get(&self.appends)));
-        s.push_str(&format!("  \"appends_patched\": {},\n", get(&self.appends_patched)));
-        s.push_str(&format!(
-            "  \"appended_transactions\": {},\n",
-            get(&self.appended_transactions)
-        ));
-        s.push_str(&format!("  \"active_queries\": {},\n", get(&self.active_queries)));
-        s.push_str("  \"mine\": {\n");
-        s.push_str(&format!("    \"runs\": {},\n", get(&self.mine_runs)));
-        s.push_str(&format!("    \"complete\": {},\n", get(&self.mine_complete)));
-        s.push_str(&format!("    \"partial\": {},\n", get(&self.mine_partial)));
-        s.push_str(&format!("    \"fastpath\": {},\n", get(&self.mine_fastpath)));
-        s.push_str(&format!("    \"delta\": {},\n", get(&self.delta_mines)));
-        s.push_str(&format!("    \"delta_full\": {},\n", get(&self.delta_full)));
-        s.push_str(&format!("    \"delta_retained\": {},\n", get(&self.delta_retained)));
-        s.push_str(&format!("    \"delta_remined\": {},\n", get(&self.delta_remined)));
-        s.push_str(&format!("    \"delta_tail_tx\": {},\n", get(&self.delta_tail_tx)));
-        s.push_str(&format!(
-            "    \"delta_checkpoint_hits\": {},\n",
-            get(&self.delta_checkpoint_hits)
-        ));
-        s.push_str(&format!(
-            "    \"delta_parallel_workers\": {},\n",
-            get(&self.delta_parallel_workers)
-        ));
-        s.push_str(&format!(
-            "    \"wall_ms\": {:.3},\n",
-            get(&self.mining_wall_micros) as f64 / 1e3
-        ));
-        s.push_str(&format!("    \"candidates_checked\": {},\n", get(&self.candidates_checked)));
-        s.push_str(&format!("    \"patterns_found\": {}\n", get(&self.patterns_found)));
-        s.push_str("  },\n");
-        s.push_str("  \"cache\": {\n");
-        s.push_str(&format!("    \"hits\": {},\n", cache.hits));
-        s.push_str(&format!("    \"misses\": {},\n", cache.misses));
-        s.push_str(&format!("    \"evictions\": {},\n", cache.evictions));
-        s.push_str(&format!("    \"invalidations\": {},\n", cache.invalidations));
-        s.push_str(&format!("    \"patches\": {},\n", cache.patches));
-        s.push_str(&format!("    \"entries\": {},\n", cache.entries));
-        s.push_str(&format!("    \"bytes\": {}\n", cache.bytes));
-        s.push_str("  }");
+        push_rows(&mut s, "  ", &top);
+        push_group(&mut s, "mine", &mine);
+        push_group(&mut s, "cache", &cache);
         if let Some(p) = persist {
-            let pget = PersistCounters::get;
-            s.push_str(",\n  \"persist\": {\n");
-            s.push_str(&format!("    \"wal_records\": {},\n", pget(&p.wal_records)));
-            s.push_str(&format!("    \"wal_bytes\": {},\n", pget(&p.wal_bytes)));
-            s.push_str(&format!("    \"snapshots\": {},\n", pget(&p.snapshots)));
-            s.push_str(&format!("    \"recovered_datasets\": {},\n", pget(&p.recovered_datasets)));
-            s.push_str(&format!(
-                "    \"torn_tail_truncations\": {}\n",
-                pget(&p.torn_tail_truncations)
-            ));
-            s.push_str("  }");
+            let persist: [Row; 5] = [
+                ("wal_records", &get(&p.wal_records)),
+                ("wal_bytes", &get(&p.wal_bytes)),
+                ("snapshots", &get(&p.snapshots)),
+                ("recovered_datasets", &get(&p.recovered_datasets)),
+                ("torn_tail_truncations", &get(&p.torn_tail_truncations)),
+            ];
+            push_group(&mut s, "persist", &persist);
         }
         if let Some(r) = repl {
             s.push_str(",\n  \"repl\": ");
@@ -184,6 +177,25 @@ impl ServerMetrics {
         s.push_str("\n}");
         s
     }
+}
+
+/// One `"key": value` line of the metrics document.
+type Row<'a> = (&'a str, &'a dyn fmt::Display);
+
+/// The one writer of the metrics document: appends `rows` at `indent`,
+/// separated by commas (none after the last row).
+fn push_rows(s: &mut String, indent: &str, rows: &[Row]) {
+    for (i, (key, value)) in rows.iter().enumerate() {
+        let sep = if i == 0 { "" } else { ",\n" };
+        let _ = write!(s, "{sep}{indent}\"{key}\": {value}");
+    }
+}
+
+/// Appends the nested group `name` holding `rows`.
+fn push_group(s: &mut String, name: &str, rows: &[Row]) {
+    let _ = write!(s, ",\n  \"{name}\": {{\n");
+    push_rows(s, "    ", rows);
+    s.push_str("\n  }");
 }
 
 #[cfg(test)]
@@ -216,6 +228,103 @@ mod tests {
         assert!(json.contains("\"snapshots\": 0"));
         assert!(json.ends_with('}'));
         assert!(!json.contains("\"repl\""), "no repl group without replication");
+    }
+
+    #[test]
+    fn json_document_is_byte_stable() {
+        // Every counter holds a distinct value, so a key rendered from the
+        // wrong counter, a lost separator or a reordered group changes the
+        // bytes. Clients split the body on `"key": `, so its layout is part
+        // of the contract.
+        let m = ServerMetrics::new();
+        let persist = PersistCounters::default();
+        let counters = [
+            &m.requests_total,
+            &m.client_errors,
+            &m.server_errors,
+            &m.rejected_backpressure,
+            &m.mine_runs,
+            &m.mine_complete,
+            &m.mine_partial,
+            &m.mine_fastpath,
+            &m.delta_mines,
+            &m.delta_full,
+            &m.delta_retained,
+            &m.delta_remined,
+            &m.delta_tail_tx,
+            &m.delta_checkpoint_hits,
+            &m.delta_parallel_workers,
+            &m.appends,
+            &m.appends_patched,
+            &m.appended_transactions,
+            &m.active_queries,
+            &m.mining_wall_micros,
+            &m.candidates_checked,
+            &m.patterns_found,
+            &persist.wal_records,
+            &persist.wal_bytes,
+            &persist.snapshots,
+            &persist.recovered_datasets,
+            &persist.torn_tail_truncations,
+        ];
+        for (c, v) in counters.into_iter().zip(1u64..) {
+            c.store(v, Ordering::Relaxed);
+        }
+        m.mining_wall_micros.store(1_234_567, Ordering::Relaxed);
+        let cache = CacheStats {
+            hits: 31,
+            misses: 32,
+            evictions: 33,
+            invalidations: 34,
+            patches: 35,
+            entries: 36,
+            bytes: 37,
+        };
+        let json = m.to_json(&cache, 9, Some(&persist), None);
+        let golden = r#"{
+  "requests_total": 1,
+  "client_errors": 2,
+  "server_errors": 3,
+  "rejected_backpressure": 4,
+  "datasets": 9,
+  "appends": 16,
+  "appends_patched": 17,
+  "appended_transactions": 18,
+  "active_queries": 19,
+  "mine": {
+    "runs": 5,
+    "complete": 6,
+    "partial": 7,
+    "fastpath": 8,
+    "delta": 9,
+    "delta_full": 10,
+    "delta_retained": 11,
+    "delta_remined": 12,
+    "delta_tail_tx": 13,
+    "delta_checkpoint_hits": 14,
+    "delta_parallel_workers": 15,
+    "wall_ms": 1234.567,
+    "candidates_checked": 21,
+    "patterns_found": 22
+  },
+  "cache": {
+    "hits": 31,
+    "misses": 32,
+    "evictions": 33,
+    "invalidations": 34,
+    "patches": 35,
+    "entries": 36,
+    "bytes": 37
+  },
+  "persist": {
+    "wal_records": 23,
+    "wal_bytes": 24,
+    "snapshots": 25,
+    "recovered_datasets": 26,
+    "torn_tail_truncations": 27
+  }
+}"#;
+        assert_eq!(json, golden);
     }
 
     #[test]

@@ -247,9 +247,10 @@ fn measure_checkpoints_survive_replay_and_keep_batch_appends_on_the_delta_path()
     );
     crash(first);
 
-    // After replay the warming mine must rebuild the per-item measure
-    // checkpoints, so the very first post-restart batch append patches the
-    // hot cache in place instead of falling back to a full re-mine.
+    // Replay rebuilds the miner's per-item scan states append by append,
+    // and the warming mine refills the store's multi-item resume cache, so
+    // the very first post-restart batch append patches the hot cache in
+    // place instead of falling back to a full re-mine.
     let second = bind_durable(&dir, 1024);
     let addr = second.addr();
     let batch = "84\tz\n85\tz\n86\tz\n90\tz\n91\tz\n92\tz\n";
@@ -258,7 +259,8 @@ fn measure_checkpoints_survive_replay_and_keep_batch_appends_on_the_delta_path()
     assert!(after.body.contains("\"patched\":true"), "recovered store cold: {}", after.body);
     let metrics = request(addr, "GET", "/v1/metrics", "");
     // The metrics collector restarted with the process, so any checkpoint
-    // hits it reports were earned by the post-restart delta mine.
+    // hits it reports were earned by the post-restart delta mine: `z`
+    // occurs before that batch, so its live state counts.
     let hits: u64 = metrics
         .body
         .split("\"delta_checkpoint_hits\": ")
