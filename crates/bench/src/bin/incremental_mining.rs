@@ -12,7 +12,11 @@
 //!    re-growth plus pattern-store splice) against a full re-mine of the
 //!    same database, asserting bit-identical patterns every round and
 //!    recording append+mine throughput, the delta-vs-full wall split, and
-//!    the per-rep path taxonomy (`delta` / `unchanged` / `full:<reason>`).
+//!    the per-rep path taxonomy (`delta` / `unchanged` / `full:<reason>`),
+//!    and per rep how many examined sets resumed a cached scan state
+//!    (`checkpoint_hits`) and how many were measured without one
+//!    (`checkpoint_misses`: multi-item sets rebuilt from posting bitsets,
+//!    singletons first seen in the batch, every set of a full mine).
 //!
 //! ```text
 //! cargo run -p rpm-bench --release --bin incremental_mining -- \
@@ -65,6 +69,7 @@ struct BatchReport {
     /// Per-rep path taxonomy: `delta`, `unchanged`, or `full:<reason>`.
     paths: Vec<String>,
     checkpoint_hits: Vec<usize>,
+    checkpoint_misses: Vec<usize>,
     tail_tx: Vec<usize>,
     workers: Vec<usize>,
     modes: (usize, usize, usize), // (delta, unchanged, full-fallback)
@@ -179,6 +184,7 @@ fn main() {
             remined: Vec::new(),
             paths: Vec::new(),
             checkpoint_hits: Vec::new(),
+            checkpoint_misses: Vec::new(),
             tail_tx: Vec::new(),
             workers: Vec::new(),
             modes: (0, 0, 0),
@@ -209,6 +215,8 @@ fn main() {
             }
             report.paths.push(path_label(stats.mode));
             report.checkpoint_hits.push(stats.checkpoint_hits);
+            let examined = delta.stats.candidates_checked;
+            report.checkpoint_misses.push(examined.saturating_sub(stats.checkpoint_hits));
             report.tail_tx.push(stats.tail_transactions);
             report.workers.push(stats.parallel_workers);
             report.retained.push(stats.retained_patterns);
@@ -257,7 +265,8 @@ fn main() {
              \"delta_ms_median\": {:.3}, \"full_ms_median\": {:.3}, \
              \"speedup_delta_vs_full\": {:.3}, \"append_mine_tx_per_s\": {:.1}, \
              \"modes\": {{\"delta\": {}, \"unchanged\": {}, \"full\": {}}}, \
-             \"paths\": [{}], \"checkpoint_hits\": {:?}, \"tail_tx\": {:?}, \
+             \"paths\": [{}], \"checkpoint_hits\": {:?}, \"checkpoint_misses\": {:?}, \
+             \"tail_tx\": {:?}, \
              \"parallel_workers\": {:?}, \
              \"retained_patterns\": {:?}, \"remined_patterns\": {:?}, \"patterns\": {}}}{}\n",
             r.batch,
@@ -272,6 +281,7 @@ fn main() {
             r.modes.2,
             paths,
             r.checkpoint_hits,
+            r.checkpoint_misses,
             r.tail_tx,
             r.workers,
             r.retained,

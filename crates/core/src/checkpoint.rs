@@ -8,20 +8,29 @@
 //! the support count — plus the interesting intervals closed so far is
 //! everything needed to continue without revisiting the prefix
 //! ([`PatternCheckpoint`]). There is one such state per item, kept live by
-//! the [`IncrementalMiner`] as transactions are appended: the RP-list and
-//! the delta planner read every singleton's whole-stream measures from it.
+//! the [`crate::IncrementalMiner`] as transactions are appended: the
+//! RP-list and the delta planner read every singleton's whole-stream
+//! measures from it.
 //! [`crate::PatternStore`] holds only the multi-item states, as a resume
 //! cache. A full mine fills that cache with the states its own scans reached
 //! for every emitted multi-item pattern (taken before `finish`, see
 //! [`PatternCheckpoint::before_finish`]); each delta mine adds the states of
-//! the candidates it examined. A cache miss is never unsound:
-//! [`cooccurrence_ts`] rebuilds the candidate's full timestamp list by
-//! intersecting its members' postings and the scan starts from an empty
-//! state.
+//! the candidates it examined. A cache miss is never unsound: the
+//! candidate's full timestamp list is rebuilt as the word-wise AND of its
+//! members' whole-stream posting bitsets ([`posting_bits`],
+//! [`cooccurrence`]) and fed to a fresh state.
+//!
+//! The miss path's cost model: a bitset holds one bit per transaction, so
+//! the AND reads `|X|·⌈n/64⌉` words for a stream of `n` transactions and
+//! the scan then feeds `|TS^X|` timestamps. The delta miner builds a
+//! frontier candidate's bitset at most once per call, on its first miss,
+//! shares it across the frontier workers and drops it when the call
+//! returns, so a bitset costs one pass over the item's postings and
+//! `n/8` bytes for the length of one delta mine (DESIGN.md §8 has the
+//! measured cost).
 
-use rpm_timeseries::{ItemId, Timestamp};
+use rpm_timeseries::{ItemId, Timestamp, TransactionDb};
 
-use crate::incremental::IncrementalMiner;
 use crate::measures::{ScanCheckpoint, ScanSummary};
 use crate::pattern::PeriodicInterval;
 
@@ -88,65 +97,91 @@ impl PatternCheckpoint {
 /// item set and its resumable state.
 pub(crate) type ResumeEntry = (Vec<ItemId>, PatternCheckpoint);
 
-/// `TS^X` over the full accumulated stream, rebuilt by intersecting the
-/// members' posting lists (smallest list drives, the rest advance by
-/// galloping binary search). The resume-cache miss path: exact, but
-/// O(min |postings|·|X|·log) instead of O(|tail|).
-pub(crate) fn cooccurrence_ts(miner: &IncrementalMiner, items: &[ItemId]) -> Vec<Timestamp> {
-    debug_assert!(!items.is_empty());
-    let mut lists: Vec<&[u32]> = items.iter().map(|&i| miner.postings(i)).collect();
-    lists.sort_by_key(|l| l.len());
-    let (driver, rest) = lists.split_first().expect("non-empty item set");
-    let mut cursors = vec![0usize; rest.len()];
-    let mut out = Vec::new();
-    'next: for &tx in *driver {
-        for (list, cur) in rest.iter().zip(cursors.iter_mut()) {
-            *cur += list[*cur..].partition_point(|&x| x < tx);
-            if list.get(*cur) != Some(&tx) {
-                continue 'next;
-            }
+/// The transactions containing an item, as a bitset over a stream of `len`
+/// transactions: bit `tx % 64` of word `tx / 64` is set for each of its
+/// `postings` (ascending transaction indices, all below `len`).
+pub(crate) fn posting_bits(postings: &[u32], len: usize) -> Vec<u64> {
+    let mut words = vec![0u64; len.div_ceil(64)];
+    for &tx in postings {
+        if let Some(word) = words.get_mut(tx as usize / 64) {
+            *word |= 1 << (tx % 64);
         }
-        out.push(miner.db().transaction(tx as usize).timestamp());
     }
-    out
+    words
+}
+
+/// `TS^X` over the whole stream: the timestamps, in stream order, of the
+/// transactions set in every one of `members` (the posting bitsets of
+/// `X`'s items, see [`posting_bits`]). The resume-cache miss path: exact,
+/// and O(|X|·n/64 + |TS^X|) instead of O(|tail|).
+pub(crate) fn cooccurrence<'a>(
+    db: &'a TransactionDb,
+    members: &'a [&'a [u64]],
+) -> impl Iterator<Item = Timestamp> + 'a {
+    let words = members.iter().map(|bits| bits.len()).min().unwrap_or(0);
+    (0..words).flat_map(move |w| {
+        let mut word = members.iter().fold(!0u64, |acc, bits| acc & bits[w]);
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let tx = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                db.transaction(tx).timestamp()
+            })
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::incremental::IncrementalMiner;
     use crate::measures::RecurrenceScan;
     use crate::params::ResolvedParams;
 
     #[test]
-    fn cooccurrence_intersection_matches_naive_scan() {
-        let mut miner = IncrementalMiner::new(ResolvedParams::new(2, 1, 1));
-        let mut rng = rpm_timeseries::prng::Pcg32::seed_from_u64(11);
-        let mut ts = 0;
-        for _ in 0..120 {
-            ts += rng.random_range(1..3i64);
-            let labels: Vec<String> =
-                (0..4).filter(|_| rng.random_f64() < 0.5).map(|i| format!("i{i}")).collect();
-            let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-            if !refs.is_empty() {
-                miner.append(ts, &refs).unwrap();
+    fn bitset_cooccurrence_equals_the_database_scan() {
+        // The miss path's rebuild must be exactly `TS^X`, for every set of
+        // one to three items: on streams with same-timestamp merges
+        // (`ts += 0..3`), of lengths that are not a multiple of 64, and
+        // with an item first seen in the last transactions, so its
+        // bitset's leading words are empty.
+        use rpm_timeseries::prng::Pcg32;
+        let mut rng = Pcg32::seed_from_u64(11);
+        let mut lengths = Vec::new();
+        for _ in 0..12 {
+            let mut miner = IncrementalMiner::new(ResolvedParams::new(2, 1, 1));
+            let steps = rng.random_range(1..300usize);
+            let mut ts = 0;
+            for step in 0..steps {
+                ts += rng.random_range(0..3i64);
+                let mut labels: Vec<String> =
+                    (0..5).filter(|_| rng.random_f64() < 0.5).map(|i| format!("i{i}")).collect();
+                if step + 3 >= steps {
+                    labels.push("late".to_string());
+                }
+                let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
+                if !refs.is_empty() {
+                    miner.append(ts, &refs).unwrap();
+                }
+            }
+            lengths.push(miner.len());
+            let n = miner.db().item_count() as u32;
+            let bits: Vec<Vec<u64>> =
+                (0..n).map(|i| posting_bits(miner.postings(ItemId(i)), miner.len())).collect();
+            for a in 0..n {
+                for b in a..n {
+                    for c in b..n {
+                        let mut set = vec![ItemId(a), ItemId(b), ItemId(c)];
+                        set.dedup();
+                        let members: Vec<&[u64]> =
+                            set.iter().map(|i| bits[i.index()].as_slice()).collect();
+                        let got: Vec<Timestamp> = cooccurrence(miner.db(), &members).collect();
+                        assert_eq!(got, miner.db().timestamps_of(&set), "set {set:?}");
+                    }
+                }
             }
         }
-        let ids: Vec<ItemId> =
-            (0..4).filter_map(|i| miner.db().items().id(&format!("i{i}"))).collect();
-        for a in 0..ids.len() {
-            for b in a..ids.len() {
-                let set = if a == b { vec![ids[a]] } else { vec![ids[a], ids[b]] };
-                let got = cooccurrence_ts(&miner, &set);
-                let naive: Vec<Timestamp> = miner
-                    .db()
-                    .transactions()
-                    .iter()
-                    .filter(|t| set.iter().all(|i| t.items().contains(i)))
-                    .map(|t| t.timestamp())
-                    .collect();
-                assert_eq!(got, naive, "set {set:?}");
-            }
-        }
+        assert!(lengths.iter().any(|&n| n > 64 && n % 64 != 0), "lengths {lengths:?}");
     }
 
     #[test]

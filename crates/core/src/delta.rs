@@ -24,9 +24,10 @@
 //!    (ordered set-extension over the dirty candidates' tail postings,
 //!    pruned by the exact full-stream `Erec` bound) and re-measure each:
 //!    a singleton from the miner's live state, a multi-item set by resuming
-//!    the store's cached scan state over the tail — falling back to a
-//!    posting-list intersection on a cache miss, which is exact but costs
-//!    O(min |postings|) instead of O(|tail|);
+//!    the store's cached scan state over the tail — falling back on a
+//!    cache miss to a full rescan of the set's transactions, found as the
+//!    word-wise AND of its members' posting bitsets, which is exact but
+//!    costs O(|X|·n/64 + |TS^X|) instead of O(|tail|);
 //! 3. splice every stored pattern the tail never touched, unchanged, and
 //!    merge the two canonical-ordered sets. The splice moves those patterns
 //!    out of the store (re-measured ones are found by binary search over
@@ -42,14 +43,17 @@
 //! stream, the miner falls back to a full re-mine and refreshes the store.
 //! Frontier re-measurement can run on the work-stealing scheme of
 //! [`crate::parallel`]: candidate-level regions behind a shared cursor,
-//! first-win abort, output bit-identical to the sequential path.
+//! first-win abort, output bit-identical to the sequential path. The
+//! workers share the miss path's posting bitsets: one per candidate, built
+//! by the first miss that needs it and dropped when the call returns.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 use rpm_timeseries::ItemId;
 
-use crate::checkpoint::{cooccurrence_ts, PatternCheckpoint, ResumeEntry};
+use crate::checkpoint::{cooccurrence, posting_bits, PatternCheckpoint, ResumeEntry};
 use crate::engine::control::{AbortReason, ControlProbe};
 use crate::engine::observer::NOOP;
 use crate::engine::RunControl;
@@ -72,8 +76,8 @@ pub const DELTA_TAIL_BUDGET_PCT: usize = 30;
 
 /// Upper bound on retained multi-item scan checkpoints. The resume cache is
 /// exactly that — a cache: when it grows past this many entries at a
-/// refresh it is cleared, and later misses rebuild states by posting-list
-/// intersection (exact, just slower).
+/// refresh it is cleared, and later misses rebuild states from posting
+/// bitsets (exact, just slower).
 pub const RESUME_CACHE_MAX: usize = 65536;
 
 /// Why a delta mine fell back to a full re-mine.
@@ -147,7 +151,7 @@ pub struct DeltaStats {
     pub tail_transactions: usize,
     /// Candidate re-measurements that continued a scan state instead of
     /// rebuilding one: a multi-item candidate resumed from the store's
-    /// cache (the remainder fell back to posting-list intersection), or a
+    /// cache (the remainder were rebuilt from posting bitsets), or a
     /// singleton whose item occurs before the tail window, measured by the
     /// miner's live per-item state.
     pub checkpoint_hits: usize,
@@ -182,8 +186,8 @@ impl DeltaStats {
 /// full mine hands the store the states its own scans reached for every
 /// multi-item pattern it emitted, and each delta mine adds those of the
 /// candidates it examined; a candidate with no stored state is re-measured
-/// by posting-list intersection. Single items need no entry: the miner
-/// keeps their scan states live.
+/// by a full rescan of its transactions, found from posting bitsets.
+/// Single items need no entry: the miner keeps their scan states live.
 ///
 /// A store is bound to the stream that refreshed it by a chained prefix
 /// hash; feeding it to a different miner (or one whose history diverged) is
@@ -205,8 +209,8 @@ pub struct PatternStore {
     stats: MiningStats,
     /// Resumable scan states of multi-item candidates: every pattern the
     /// last full mine emitted, plus every candidate a delta mine since then
-    /// examined (emitted or not). A cache: misses rebuild the state by
-    /// posting-list intersection.
+    /// examined (emitted or not). A cache: misses rebuild the state from
+    /// posting bitsets.
     resume: HashMap<Vec<ItemId>, PatternCheckpoint>,
 }
 
@@ -468,6 +472,7 @@ impl IncrementalMiner {
             store,
             items: plan.candidates.iter().map(|&(item, _)| item).collect(),
             tails: plan.candidates.iter().map(|&(item, cut)| &self.postings(item)[cut..]).collect(),
+            bits: plan.candidates.iter().map(|_| OnceLock::new()).collect(),
         };
         let regions = frontier.items.len();
         let workers = threads.max(1).min(regions.max(1));
@@ -629,6 +634,9 @@ struct Frontier<'a> {
     items: Vec<ItemId>,
     /// Per candidate: its postings inside the tail window.
     tails: Vec<&'a [u32]>,
+    /// Per candidate: its whole-stream posting bitset, built on the first
+    /// resume miss that needs it and shared by every worker of this call.
+    bits: Vec<OnceLock<Vec<u64>>>,
 }
 
 /// Accumulated output of one or more frontier regions.
@@ -652,6 +660,14 @@ impl RegionOut {
 }
 
 impl Frontier<'_> {
+    /// The whole-stream posting bitset of the frontier candidate `item`,
+    /// built once per call.
+    fn bits(&self, item: ItemId) -> &[u64] {
+        let rank = self.items.partition_point(|&c| c < item);
+        debug_assert_eq!(self.items.get(rank), Some(&item), "sets grow from candidates only");
+        self.bits[rank].get_or_init(|| posting_bits(self.miner.postings(item), self.miner.len()))
+    }
+
     /// Enumerates and re-measures every frontier set whose lowest-ranked
     /// candidate is `r`. Returns `true` when the probe tripped mid-region.
     fn grow_region(&self, r: usize, probe: &mut ControlProbe<'_>, out: &mut RegionOut) -> bool {
@@ -684,24 +700,27 @@ impl Frontier<'_> {
                 }
                 self.miner.item_state(item).map(|s| s.finished(min_ps)).unwrap_or_default()
             }
-            // A multi-item set resumes its cached state over the tail, or
-            // rebuilds it by posting-list intersection on a miss. Feeding
-            // skips timestamps at or before the state's last fed one, which
-            // absorbs the rewritten boundary transaction after a
-            // same-timestamp merge.
+            // A multi-item set resumes its cached state over the tail, or on
+            // a miss rescans its whole `TS^X`, the AND of its members'
+            // posting bitsets. Feeding skips timestamps at or before the
+            // state's last fed one, which absorbs the rewritten boundary
+            // transaction after a same-timestamp merge.
             items => {
+                let db = self.miner.db();
                 let next = match self.store.resume.get(items) {
                     Some(prior) => {
                         out.hits += 1;
-                        let ts_of =
-                            |&tx: &u32| self.miner.db().transaction(tx as usize).timestamp();
+                        let ts_of = |&tx: &u32| db.transaction(tx as usize).timestamp();
                         prior.advanced(per, min_ps, occ.iter().map(ts_of))
                     }
-                    None => PatternCheckpoint::default().advanced(
-                        per,
-                        min_ps,
-                        cooccurrence_ts(self.miner, items),
-                    ),
+                    None => {
+                        let members: Vec<&[u64]> = items.iter().map(|&i| self.bits(i)).collect();
+                        PatternCheckpoint::default().advanced(
+                            per,
+                            min_ps,
+                            cooccurrence(db, &members),
+                        )
+                    }
                 };
                 let measured = next.finished(min_ps);
                 out.updates.push((items.to_vec(), next));
@@ -821,7 +840,7 @@ mod tests {
     fn full_mine_hands_the_store_the_states_intersection_would_rebuild() {
         // The full refresh takes the multi-item resume states from the
         // mine's own scans. Entry for entry, they must equal what the miss
-        // path rebuilds — posting-list intersection plus a fresh scan — at
+        // path rebuilds — a fresh scan of the pattern's whole `TS^X` — at
         // every worker count.
         use rpm_timeseries::prng::Pcg32;
         let mut rng = Pcg32::seed_from_u64(15);
@@ -864,7 +883,7 @@ mod tests {
                 assert_eq!(store.resume.len(), multi.len(), "{ctx}: one entry per pattern");
                 for p in multi {
                     scan.reset(params.per, params.min_ps);
-                    for t in cooccurrence_ts(&miner, &p.items) {
+                    for t in miner.db().timestamps_of(&p.items) {
                         scan.feed(t);
                     }
                     let reference = PatternCheckpoint {
@@ -1039,9 +1058,9 @@ mod tests {
     #[test]
     fn resume_cache_miss_intersects_and_then_hits() {
         // Two frequent items that never co-occurred before suddenly do: the
-        // pair has no cached state, so the first delta rebuilds it by
-        // posting-list intersection; the refresh then caches it and the next
-        // delta resumes it.
+        // pair has no cached state, so the first delta rebuilds it from the
+        // posting bitsets; the refresh then caches it and the next delta
+        // resumes it.
         let params = ResolvedParams::new(2, 2, 1);
         let mut miner = IncrementalMiner::new(params);
         let mut store = PatternStore::new();
@@ -1066,6 +1085,70 @@ mod tests {
             "the pair's state was cached by the previous delta"
         );
         assert_bit_identical(&miner, &result, "cached co-occurrence");
+    }
+
+    #[test]
+    fn every_resume_miss_rebuilds_the_batch_result() {
+        // With the resume cache emptied before each delta, every multi-item
+        // candidate misses and is rebuilt from the posting bitsets, which
+        // the workers build lazily and share. At 1, 2 and 3 workers the
+        // result must stay bit-identical to batch and both naive miners.
+        use crate::naive::{apriori_rp, brute_force};
+        use rpm_timeseries::prng::Pcg32;
+        let mut rng = Pcg32::seed_from_u64(19);
+        let mut rebuilt = 0usize;
+        for round in 0..6 {
+            let params = ResolvedParams::new(
+                rng.random_range(1..4i64),
+                rng.random_range(1..4usize),
+                rng.random_range(1..3usize),
+            );
+            let mut miner = IncrementalMiner::new(params);
+            let mut ts = 0i64;
+            let mut grow = |miner: &mut IncrementalMiner, n: usize| {
+                for _ in 0..n {
+                    ts += rng.random_range(0..3i64);
+                    let labels: Vec<String> = (0..7)
+                        .filter(|_| rng.random_f64() < 0.4)
+                        .map(|i| format!("i{i}"))
+                        .collect();
+                    let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
+                    if !refs.is_empty() {
+                        miner.append(ts, &refs).unwrap();
+                    }
+                }
+            };
+            grow(&mut miner, 150);
+            let mut stores: Vec<PatternStore> = (0..3).map(|_| PatternStore::new()).collect();
+            for store in &mut stores {
+                miner.mine_delta(store);
+            }
+            for step in 0..4 {
+                grow(&mut miner, 5);
+                let batch = mine_resolved(miner.db(), params);
+                let ctx = format!("round {round} step {step} params {params:?}");
+                assert_eq!(brute_force(miner.db(), params), batch.patterns, "{ctx}");
+                assert_eq!(apriori_rp(miner.db(), params).0, batch.patterns, "{ctx}");
+                for (threads, store) in (1..=3).zip(&mut stores) {
+                    store.resume.clear();
+                    let (result, abort, stats) = miner.mine_delta_controlled(
+                        store,
+                        &RunControl::new(),
+                        &mut MineScratch::new(),
+                        threads,
+                    );
+                    assert!(abort.is_none(), "{ctx}");
+                    assert_eq!(result.patterns, batch.patterns, "{ctx} threads {threads}");
+                    if stats.mode == DeltaMode::Delta {
+                        // Every region starts at a singleton; everything
+                        // else it examined was a multi-item miss.
+                        assert!(stats.checkpoint_hits <= stats.dirty_candidates, "{ctx}");
+                        rebuilt += result.stats.candidates_checked - stats.dirty_candidates;
+                    }
+                }
+            }
+        }
+        assert!(rebuilt > 100, "the deltas rebuilt multi-item states ({rebuilt})");
     }
 
     #[test]

@@ -5,23 +5,37 @@
 //! hundreds of sites inline, the repo commits a baseline file and the
 //! gate fails only on findings **not** in it.
 //!
-//! An entry is keyed by `(rule, file, message)` with an occurrence
-//! `count` — messages carry function names and call chains but never
-//! line numbers, so unrelated edits do not churn the file, while a *new*
-//! unwrap in an already-listed function still trips the gate (the count
-//! grows). Stale entries (baselined findings that no longer occur) are
-//! reported as notes and never fail the gate; regenerate with
-//! `rpm-lint --write-baseline` to tighten.
+//! An entry is keyed by `(rule, file, key)` with an occurrence `count`,
+//! where the key is the finding's message ([`key_message`]) — messages
+//! carry function names but never line numbers, so unrelated edits do not
+//! churn the file, while a *new* unwrap in an already-listed function
+//! still trips the gate (the count grows). A `panic-reachability` finding
+//! is keyed by its site and enclosing function only, the part of the
+//! message before "reachable from": its reach chain stays in the printed
+//! message, so an edit elsewhere that moves the chain does not turn an
+//! unchanged site into a new finding. Stale entries (baselined findings
+//! that no longer occur) are reported as notes and never fail the gate;
+//! regenerate with `rpm-lint --write-baseline` to tighten.
 //!
 //! The format is a restricted subset of JSON written and parsed by this
 //! module alone (std-only, deterministic ordering).
 
 use std::collections::BTreeMap;
 
-use crate::Violation;
+use crate::{Violation, RULE_PANIC_REACH};
 
-/// Grouping key for baseline matching.
+/// Grouping key for baseline matching: `(rule, file, key message)`.
 pub type Key = (String, String, String);
+
+/// The part of a finding's `message` that keys its baseline entry: all of
+/// it, except that a `panic-reachability` finding drops its reach chain
+/// and keeps the site and its enclosing function.
+pub fn key_message<'a>(rule: &str, message: &'a str) -> &'a str {
+    match message.split_once(", reachable from ") {
+        Some((site, _)) if rule == RULE_PANIC_REACH => site,
+        _ => message,
+    }
+}
 
 /// A parsed baseline: key → allowed occurrence count.
 #[derive(Debug, Default)]
@@ -30,12 +44,24 @@ pub struct Baseline {
     pub entries: BTreeMap<Key, usize>,
 }
 
+/// A group of current findings the baseline does not cover.
+#[derive(Debug)]
+pub struct NewFinding {
+    /// The group's baseline key.
+    pub key: Key,
+    /// Occurrences beyond the baselined count.
+    pub excess: usize,
+    /// Lines of every occurrence in the current run.
+    pub lines: Vec<u32>,
+    /// The first occurrence's full message, reach chain included.
+    pub message: String,
+}
+
 /// The outcome of diffing a report against a baseline.
 #[derive(Debug, Default)]
 pub struct BaselineDiff {
-    /// Findings not covered by the baseline (key, excess count, example
-    /// lines from the current run).
-    pub new: Vec<(Key, usize, Vec<u32>)>,
+    /// Findings not covered by the baseline.
+    pub new: Vec<NewFinding>,
     /// Baseline entries no longer (fully) observed: (key, unused count).
     pub stale: Vec<(Key, usize)>,
 }
@@ -47,14 +73,13 @@ impl BaselineDiff {
     }
 }
 
-/// Groups current violations by baseline key, tracking lines.
-fn group(violations: &[Violation]) -> BTreeMap<Key, (usize, Vec<u32>)> {
-    let mut m: BTreeMap<Key, (usize, Vec<u32>)> = BTreeMap::new();
+/// Groups current violations by baseline key: each group's occurrences,
+/// in report order.
+fn group(violations: &[Violation]) -> BTreeMap<Key, Vec<&Violation>> {
+    let mut m: BTreeMap<Key, Vec<&Violation>> = BTreeMap::new();
     for v in violations {
-        let k = (v.rule.to_string(), v.file.clone(), v.message.clone());
-        let e = m.entry(k).or_default();
-        e.0 += 1;
-        e.1.push(v.line);
+        let k = (v.rule.to_string(), v.file.clone(), key_message(v.rule, &v.message).to_string());
+        m.entry(k).or_default().push(v);
     }
     m
 }
@@ -63,14 +88,19 @@ fn group(violations: &[Violation]) -> BTreeMap<Key, (usize, Vec<u32>)> {
 pub fn diff(violations: &[Violation], baseline: &Baseline) -> BaselineDiff {
     let current = group(violations);
     let mut out = BaselineDiff::default();
-    for (key, (count, lines)) in &current {
+    for (key, found) in &current {
         let allowed = baseline.entries.get(key).copied().unwrap_or(0);
-        if *count > allowed {
-            out.new.push((key.clone(), count - allowed, lines.clone()));
+        if found.len() > allowed {
+            out.new.push(NewFinding {
+                key: key.clone(),
+                excess: found.len() - allowed,
+                lines: found.iter().map(|v| v.line).collect(),
+                message: found.first().map(|v| v.message.clone()).unwrap_or_default(),
+            });
         }
     }
     for (key, allowed) in &baseline.entries {
-        let seen = current.get(key).map(|(c, _)| *c).unwrap_or(0);
+        let seen = current.get(key).map_or(0, Vec::len);
         if seen < *allowed {
             out.stale.push((key.clone(), allowed - seen));
         }
@@ -82,7 +112,7 @@ pub fn diff(violations: &[Violation], baseline: &Baseline) -> BaselineDiff {
 pub fn render(violations: &[Violation]) -> String {
     let grouped = group(violations);
     let mut s = String::from("{\n  \"version\": 1,\n  \"entries\": [");
-    for (i, ((rule, file, message), (count, _))) in grouped.iter().enumerate() {
+    for (i, ((rule, file, message), found)) in grouped.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
@@ -90,7 +120,7 @@ pub fn render(violations: &[Violation]) -> String {
             "\n    {{\"rule\": \"{}\", \"file\": \"{}\", \"count\": {}, \"message\": \"{}\"}}",
             crate::json_escape(rule),
             crate::json_escape(file),
-            count,
+            found.len(),
             crate::json_escape(message)
         ));
     }
@@ -102,7 +132,8 @@ pub fn render(violations: &[Violation]) -> String {
 }
 
 /// Parses a baseline file. Tolerates whitespace but nothing fancier than
-/// what [`render`] emits.
+/// what [`render`] emits. Entry messages are reduced to their
+/// [`key_message`], so a file written with full messages still matches.
 pub fn parse(text: &str) -> Result<Baseline, String> {
     let mut p = P { b: text.as_bytes(), i: 0 };
     p.ws();
@@ -281,7 +312,10 @@ impl P<'_> {
             }
         }
         match (rule, file, message) {
-            (Some(r), Some(f), Some(m)) => Ok(((r, f, m), count)),
+            (Some(r), Some(f), Some(m)) => {
+                let m = key_message(&r, &m).to_string();
+                Ok(((r, f, m), count))
+            }
             _ => Err("baseline entry missing rule/file/message".to_string()),
         }
     }
@@ -324,8 +358,35 @@ mod tests {
         let d = diff(&now, &baseline);
         assert!(!d.is_clean());
         assert_eq!(d.new.len(), 1);
-        assert_eq!(d.new[0].1, 1, "one excess occurrence");
-        assert_eq!(d.new[0].2, vec![3, 40], "example lines from the current run");
+        assert_eq!(d.new[0].excess, 1, "one excess occurrence");
+        assert_eq!(d.new[0].lines, vec![3, 40], "example lines from the current run");
+    }
+
+    #[test]
+    fn panic_reach_entries_are_keyed_by_site_not_chain() {
+        let site = "`.unwrap(...)` in `decode`";
+        let via = |chain: &str| {
+            format!("{site}, reachable from serving entry `serve` via {chain}; degrade to an error")
+        };
+        let baseline = parse(&render(&[v("a.rs", 3, &via("serve -> decode"))])).expect("parse");
+        let key = (RULE_PANIC_REACH.to_string(), "a.rs".to_string(), site.to_string());
+        assert_eq!(baseline.entries.get(&key), Some(&1), "{:?}", baseline.entries);
+        // The same site, reached along a new path: still covered.
+        let moved = [v("a.rs", 5, &via("serve -> parse -> decode"))];
+        assert!(diff(&moved, &baseline).is_clean());
+        // A second site in the same function is new, and is printed with
+        // its chain.
+        let more = [v("a.rs", 5, &via("serve -> decode")), v("a.rs", 9, &via("serve -> decode"))];
+        let d = diff(&more, &baseline);
+        assert_eq!(d.new.len(), 1);
+        assert_eq!(d.new[0].message, via("serve -> decode"));
+        // A file written with full messages parses to the same keys.
+        let full = format!(
+            "{{\"version\": 1, \"entries\": [{{\"rule\": \"{RULE_PANIC_REACH}\", \
+             \"file\": \"a.rs\", \"count\": 1, \"message\": \"{}\"}}]}}",
+            via("serve -> decode")
+        );
+        assert_eq!(parse(&full).expect("parse").entries, baseline.entries);
     }
 
     #[test]

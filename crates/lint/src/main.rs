@@ -124,11 +124,14 @@ fn main() -> ExitCode {
             }
         };
         let d = baseline::diff(&report.violations, &base);
-        for ((rule, file, message), excess, lines) in &d.new {
-            let lines: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+        for finding in &d.new {
+            let (rule, file, _) = &finding.key;
+            let lines: Vec<String> = finding.lines.iter().map(|l| l.to_string()).collect();
             eprintln!(
-                "rpm-lint: NEW [{rule}] {file} (+{excess}, lines {}): {message}",
-                lines.join(", ")
+                "rpm-lint: NEW [{rule}] {file} (+{}, lines {}): {}",
+                finding.excess,
+                lines.join(", "),
+                finding.message
             );
         }
         for ((rule, file, message), unused) in &d.stale {

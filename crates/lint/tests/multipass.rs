@@ -8,7 +8,7 @@
 //! `lint-config-unclassified` noise; the unclassified golden uses a
 //! deliberately unpinned path.
 
-use rpm_lint::{lint_files, RULE_LOCK_ORDER, RULE_PANIC_REACH, RULE_UNCLASSIFIED};
+use rpm_lint::{baseline, lint_files, RULE_LOCK_ORDER, RULE_PANIC_REACH, RULE_UNCLASSIFIED};
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/multipass/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -34,6 +34,35 @@ fn panic_chain_two_deep_reports_the_full_chain() {
          serve_window -> parse_window -> decode_bounds; degrade to an error response instead \
          of panicking"
     );
+}
+
+#[test]
+fn a_moved_reach_path_keeps_an_unchanged_site_baselined() {
+    // Baseline the two-deep chain, then lint the support file after an
+    // edit that adds a hop between the entry and the unchanged unwrap: the
+    // site is still covered, and the printed message carries the new chain.
+    let entry = fixture("panic_chain_entry.rs");
+    let before = lint_files(&[
+        ("crates/core/src/engine/fx_entry.rs", &entry),
+        ("crates/core/src/fx_support.rs", &fixture("panic_chain_support.rs")),
+    ]);
+    let baseline = baseline::parse(&baseline::render(&before)).expect("baseline parses");
+    let after = lint_files(&[
+        ("crates/core/src/engine/fx_entry.rs", &entry),
+        ("crates/core/src/fx_support.rs", &fixture("panic_reroute_support.rs")),
+    ]);
+    assert_eq!(after.len(), 1, "got: {after:#?}");
+    assert!(
+        after[0]
+            .message
+            .contains("via serve_window -> parse_window -> trim_window -> decode_bounds"),
+        "{}",
+        after[0].message
+    );
+    assert_ne!(after[0].message, before[0].message, "the chain moved");
+    let d = baseline::diff(&after, &baseline);
+    assert!(d.is_clean(), "{d:?}");
+    assert!(d.stale.is_empty(), "{d:?}");
 }
 
 #[test]

@@ -11,6 +11,14 @@
 //! Only **complete** results are cached. A partial result reflects a
 //! deadline, not the data; serving it from cache would return different
 //! answers for identical state.
+//!
+//! Because the key names content, not a dataset, a hit is a complete
+//! result for one committed version whatever lock its reader holds. That
+//! is what lets `POST …/mine` serve a hit from the dataset's published
+//! head without the dataset lock ([`ResultCache::hit`]): a head that is
+//! one append behind still names a version that existed, and a head that
+//! is ahead of the cache misses and falls through to the locked path,
+//! which waits for the append's patch.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -155,6 +163,26 @@ impl ResultCache {
 
     /// Looks up a complete result, refreshing its recency on a hit.
     pub fn get(&self, fingerprint: u64, params: ResolvedParams) -> Option<Arc<CachedResult>> {
+        self.lookup(fingerprint, params, true)
+    }
+
+    /// Like [`ResultCache::get`], but only a hit is counted: the lock-free
+    /// hit path of `mine` falls through on a miss to a locked
+    /// [`ResultCache::get`], which counts the request's one lookup.
+    pub(crate) fn hit(
+        &self,
+        fingerprint: u64,
+        params: ResolvedParams,
+    ) -> Option<Arc<CachedResult>> {
+        self.lookup(fingerprint, params, false)
+    }
+
+    fn lookup(
+        &self,
+        fingerprint: u64,
+        params: ResolvedParams,
+        count_miss: bool,
+    ) -> Option<Arc<CachedResult>> {
         let mut state = lock_recover(&self.state);
         state.tick += 1;
         let tick = state.tick;
@@ -166,7 +194,7 @@ impl ResultCache {
                 Some(result)
             }
             None => {
-                state.misses += 1;
+                state.misses += u64::from(count_miss);
                 None
             }
         }
@@ -261,6 +289,16 @@ mod tests {
         assert!(cache.get(8, params(1)).is_none());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 3, 1));
+    }
+
+    #[test]
+    fn hit_counts_hits_but_not_misses() {
+        let cache = ResultCache::new(1 << 20);
+        assert!(cache.hit(7, params(1)).is_none());
+        cache.insert(7, params(1), entry(10));
+        assert_eq!(cache.hit(7, params(1)).expect("cached").body.len(), 10);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 0));
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //!   hot-params entry in place via a delta mine over the dirty frontier
 //!   ([`rpm_core::delta`]) when the dataset's pattern store allows it, and
 //!   invalidates otherwise;
+//! * a **lock-free hit path**: each dataset publishes its head — content
+//!   fingerprint and transaction count — beside its lock, updated under
+//!   the write lock before an append is acknowledged. `mine` resolves its
+//!   cache key from the head and serves a hit without the dataset lock, so
+//!   a hot fetch never waits for an append. A miss, an `active` stab and a
+//!   mine at other parameters take the dataset's read lock;
 //! * a **bounded worker pool**: an acceptor thread feeds a fixed-capacity
 //!   connection queue drained by `threads` workers; when the queue is full
 //!   the acceptor answers `503` immediately (backpressure, not pile-up);
@@ -797,7 +803,7 @@ fn handle_append(shared: &Shared, name: &str, req: &Request) -> Response {
 }
 
 fn handle_mine(shared: &Shared, name: &str, req: &Request) -> Response {
-    let Some(dataset) = shared.registry.get(name) else {
+    let Some(head) = shared.registry.head(name) else {
         return not_found(name);
     };
     let timeout = match req.query_param("timeout").map(parse_duration).transpose() {
@@ -819,6 +825,36 @@ fn handle_mine(shared: &Shared, name: &str, req: &Request) -> Response {
         None => None,
     };
 
+    let with_headers = |response: Response, cache: &str, cache_key: u64, patterns: usize| {
+        response
+            .with_header("X-Rpm-Cache", cache)
+            .with_header("X-Rpm-Cache-Key", format!("{cache_key:016x}"))
+            .with_header("X-Rpm-Patterns", patterns.to_string())
+    };
+    let complete = |entry: &CachedResult, hit: bool, cache_key: u64| {
+        with_headers(
+            Response::json(200, entry.body.as_ref().clone()),
+            if hit { "hit" } else { "miss" },
+            cache_key,
+            entry.patterns.len(),
+        )
+    };
+
+    // A hit is served from the published head, without the dataset lock:
+    // the cache is keyed by content, so the entry is the complete result
+    // for the committed version the head names, and a hot fetch never
+    // waits for an append.
+    let resolved = match resolve_params(req, head.transactions) {
+        Ok(p) => p,
+        Err(resp) => return resp,
+    };
+    if let Some(entry) = shared.cache.hit(head.fingerprint, resolved) {
+        return complete(&entry, true, head.fingerprint ^ resolved.cache_key());
+    }
+
+    let Some(dataset) = shared.registry.get(name) else {
+        return not_found(name);
+    };
     let mut control = RunControl::new().with_cancel(shared.cancel.clone());
     if let Some(t) = timeout {
         control = control.with_timeout(t);
@@ -827,29 +863,20 @@ fn handle_mine(shared: &Shared, name: &str, req: &Request) -> Response {
         control = control.with_scratch_budget(bytes);
     }
 
-    // Hold the read lock for the whole mine: appends to *this* dataset wait,
-    // other datasets are untouched.
+    // A miss holds the read lock for the whole mine: appends to *this*
+    // dataset wait, other datasets are untouched. An append may have
+    // landed since the head was read, so the key is resolved again.
     let ds = read_recover(&dataset);
     let resolved = match resolve_params(req, ds.db().len()) {
         Ok(p) => p,
         Err(resp) => return resp,
     };
     let cache_key = ds.fingerprint() ^ resolved.cache_key();
-    let with_headers = |response: Response, cache: &str, patterns: usize| {
-        response
-            .with_header("X-Rpm-Cache", cache)
-            .with_header("X-Rpm-Cache-Key", format!("{cache_key:016x}"))
-            .with_header("X-Rpm-Patterns", patterns.to_string())
-    };
     match lookup_or_mine(shared, &ds, resolved, threads, control) {
-        Ok(Mined::Complete(entry, hit)) => with_headers(
-            Response::json(200, entry.body.as_ref().clone()),
-            if hit { "hit" } else { "miss" },
-            entry.patterns.len(),
-        ),
+        Ok(Mined::Complete(entry, hit)) => complete(&entry, hit, cache_key),
         // Partial results are sound but deadline-shaped: report, don't cache.
         Ok(Mined::Partial { body, patterns, reason }) => {
-            with_headers(Response::json(206, body), "miss", patterns)
+            with_headers(Response::json(206, body), "miss", cache_key, patterns)
                 .with_header("X-Rpm-Abort", reason.to_string())
         }
         Err(response) => response,

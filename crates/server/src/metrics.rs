@@ -50,7 +50,7 @@ pub struct ServerMetrics {
     pub delta_tail_tx: AtomicU64,
     /// Candidate re-measurements that continued a scan state instead of
     /// rebuilding one: multi-item candidates resumed from a pattern store's
-    /// cache (the remainder rebuilt state by posting-list intersection), and
+    /// cache (the remainder rebuilt state from posting bitsets), and
     /// singletons whose item occurs before the tail window, measured by the
     /// miner's live per-item state.
     pub delta_checkpoint_hits: AtomicU64,

@@ -13,6 +13,13 @@
 //! dataset from its newest snapshot plus the WAL tail at startup, so
 //! fingerprints and delta mining resume exactly where the previous
 //! process left off.
+//!
+//! Beside its lock, each dataset publishes its [`Head`] — the fingerprint
+//! and length of its committed content — in a small lock of its own. The
+//! head is set when the dataset is created or recovered and updated, under
+//! the dataset's write lock, wherever the fingerprint changes, so an
+//! append is visible there before it is acknowledged. A cache-hit `mine`
+//! reads the head instead of the dataset and so never waits for an append.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -27,11 +34,23 @@ use rpm_timeseries::{from_bytes, io, SnapshotHeader, Timestamp, TransactionDb};
 use crate::persist::{DatasetLog, Persistence, WalRecord};
 use crate::replica::primary::{Event, ReplHub};
 
+/// What a dataset has committed: the content fingerprint that keys its
+/// cached results, and the transaction count a percentage `min-ps`
+/// resolves against.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Head {
+    pub fingerprint: u64,
+    pub transactions: usize,
+}
+
 /// A registered dataset: the live miner plus its cached content fingerprint.
 #[derive(Debug)]
 pub struct Dataset {
     miner: IncrementalMiner,
     fingerprint: u64,
+    /// The published copy of `(fingerprint, length)`, shared with the
+    /// registry so readers can take it without the dataset lock.
+    head: Arc<Mutex<Head>>,
     appends: u64,
     /// The last complete hot-params mining result, reused by
     /// [`Dataset::mine_hot_delta`] to make append-then-mine cost
@@ -50,9 +69,11 @@ pub struct Dataset {
 impl Dataset {
     fn new(miner: IncrementalMiner, log: Option<DatasetLog>) -> Self {
         let fingerprint = miner.fingerprint();
+        let head = Head { fingerprint, transactions: miner.len() };
         Self {
             miner,
             fingerprint,
+            head: Arc::new(Mutex::new(head)),
             appends: 0,
             store: Mutex::new(PatternStore::new()),
             log,
@@ -64,15 +85,8 @@ impl Dataset {
     /// stream, and the pattern store is warmed with one complete hot mine
     /// so delta mining resumes on the first post-restart append.
     fn recovered(miner: IncrementalMiner, appends: u64, log: DatasetLog) -> Self {
-        let fingerprint = miner.fingerprint();
-        let dataset = Self {
-            miner,
-            fingerprint,
-            appends,
-            store: Mutex::new(PatternStore::new()),
-            log: Some(log),
-            hub: None,
-        };
+        let mut dataset = Self::new(miner, Some(log));
+        dataset.appends = appends;
         if !dataset.miner.db().is_empty() {
             let control = RunControl::new();
             let mut scratch = MineScratch::new();
@@ -111,6 +125,15 @@ impl Dataset {
     /// append).
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+
+    /// Recomputes the fingerprint after the miner changed and publishes
+    /// the new head. Callers hold the write lock, so the head moves in the
+    /// same critical section as the content it names.
+    fn refresh_head(&mut self) {
+        self.fingerprint = self.miner.fingerprint();
+        *lock_recover(&self.head) =
+            Head { fingerprint: self.fingerprint, transactions: self.miner.len() };
     }
 
     /// The hot parameters the incremental scanners are maintained for.
@@ -186,7 +209,7 @@ impl Dataset {
                 self.appends += 1;
             }
         }
-        self.fingerprint = self.miner.fingerprint();
+        self.refresh_head();
         let hot = self.miner.params();
         let appends = self.appends;
         if let Some(log) = self.log.as_mut() {
@@ -245,7 +268,7 @@ impl Dataset {
             }
             Ok(())
         })();
-        self.fingerprint = self.miner.fingerprint();
+        self.refresh_head();
         self.appends += 1;
         let hot = self.miner.params();
         let appends = self.appends;
@@ -385,11 +408,25 @@ fn replay_into_miner(
     Ok(miner)
 }
 
+/// One registered dataset: its lock, and the head it publishes beside it.
+#[derive(Debug)]
+struct Entry {
+    dataset: Arc<RwLock<Dataset>>,
+    head: Arc<Mutex<Head>>,
+}
+
+impl Entry {
+    fn new(dataset: Dataset) -> Self {
+        let head = dataset.head.clone();
+        Self { dataset: Arc::new(RwLock::new(dataset)), head }
+    }
+}
+
 /// The shared, named dataset map. Datasets are individually locked so a
 /// long mine on one dataset never blocks queries on another.
 #[derive(Debug, Default)]
 pub struct Registry {
-    datasets: RwLock<HashMap<String, Arc<RwLock<Dataset>>>>,
+    datasets: RwLock<HashMap<String, Entry>>,
     persist: Option<Arc<Persistence>>,
     /// Replication fan-out, installed once at bind time on a primary.
     hub: Option<Arc<ReplHub>>,
@@ -416,8 +453,7 @@ impl Registry {
             match recover_dataset(&persist, &name)? {
                 Some(dataset) => {
                     persist.counters().recovered_datasets.fetch_add(1, Ordering::Relaxed);
-                    write_recover(&registry.datasets)
-                        .insert(name.clone(), Arc::new(RwLock::new(dataset)));
+                    write_recover(&registry.datasets).insert(name.clone(), Entry::new(dataset));
                     report.recovered.push(name);
                 }
                 None => report.skipped.push(name),
@@ -441,7 +477,7 @@ impl Registry {
         let miner = replay_into_miner(&db, hot_params).map_err(RegisterError::Invalid)?;
         let mut map = write_recover(&self.datasets);
         // lint:allow(lock-order): `map.get` is HashMap::get on the guarded map itself, which the name-based resolver confuses with Registry::get — the map lock is not re-acquired
-        let existing = map.get(name).cloned();
+        let existing = map.get(name).map(|entry| entry.dataset.clone());
         if existing.is_some() && !replace {
             return Err(RegisterError::Exists);
         }
@@ -478,7 +514,7 @@ impl Registry {
                 });
             }
         }
-        map.insert(name.to_string(), Arc::new(RwLock::new(dataset)));
+        map.insert(name.to_string(), Entry::new(dataset));
         Ok(fingerprint)
     }
 
@@ -487,8 +523,8 @@ impl Registry {
     /// cursors. Called once at bind time, before the server accepts
     /// requests or followers.
     pub(crate) fn set_hub(&mut self, hub: Arc<ReplHub>) {
-        for (name, dataset) in read_recover(&self.datasets).iter() {
-            let mut ds = write_recover(dataset);
+        for (name, entry) in read_recover(&self.datasets).iter() {
+            let mut ds = write_recover(&entry.dataset);
             ds.hub = Some(hub.clone());
             hub.note_seq(name, ds.last_seq().unwrap_or(0));
         }
@@ -519,9 +555,8 @@ impl Registry {
         let mut dataset = Dataset::recovered(miner, header.appends, log);
         dataset.hub = self.hub.clone();
         let fingerprint = dataset.fingerprint();
-        let previous =
-            write_recover(&self.datasets).insert(name.to_string(), Arc::new(RwLock::new(dataset)));
-        let old_fingerprint = previous.map(|old| read_recover(&old).fingerprint());
+        let previous = write_recover(&self.datasets).insert(name.to_string(), Entry::new(dataset));
+        let old_fingerprint = previous.map(|old| read_recover(&old.dataset).fingerprint());
         Ok((old_fingerprint, fingerprint))
     }
 
@@ -550,14 +585,22 @@ impl Registry {
         dataset.hub = self.hub.clone();
         let fingerprint = dataset.fingerprint();
         dataset.publish(record);
-        write_recover(&self.datasets).insert(name.to_string(), Arc::new(RwLock::new(dataset)));
+        write_recover(&self.datasets).insert(name.to_string(), Entry::new(dataset));
         Ok(ApplyOutcome { applied: true, register: true, old_fingerprint: 0, fingerprint })
     }
 
     /// The dataset registered under `name`.
     pub fn get(&self, name: &str) -> Option<Arc<RwLock<Dataset>>> {
         // lint:allow(lock-order): `.get` here is HashMap::get on the read guard, which the name-based resolver confuses with this very method — the map lock is not re-acquired
-        read_recover(&self.datasets).get(name).cloned()
+        read_recover(&self.datasets).get(name).map(|entry| entry.dataset.clone())
+    }
+
+    /// The published head of the dataset registered under `name`, read
+    /// without the dataset lock: it never waits for an append.
+    pub(crate) fn head(&self, name: &str) -> Option<Head> {
+        let head = read_recover(&self.datasets).get(name)?.head.clone();
+        let head = *lock_recover(&head);
+        Some(head)
     }
 
     /// Registered names, sorted.
@@ -571,7 +614,7 @@ impl Registry {
     /// failures are non-fatal: the WAL still holds everything.
     pub fn flush_snapshots(&self) {
         let datasets: Vec<Arc<RwLock<Dataset>>> =
-            read_recover(&self.datasets).values().cloned().collect();
+            read_recover(&self.datasets).values().map(|entry| entry.dataset.clone()).collect();
         for dataset in datasets {
             // lint:allow(lock-order): the snapshot is written under the dataset lock to capture a consistent image; this runs on the background flush cadence, not the request path
             write_recover(&dataset).flush_snapshot();

@@ -6,6 +6,7 @@
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc;
 use std::time::Duration;
 
 use recurring_patterns::core::{
@@ -69,6 +70,22 @@ fn send_raw(addr: SocketAddr, raw: &str) -> String {
 fn request(addr: SocketAddr, method: &str, target: &str, body: &str) -> Http {
     let raw = format!("{method} {target} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len());
     parse_response(&send_raw(addr, &raw))
+}
+
+/// Sends a request from its own thread; the receiver yields the response,
+/// so the caller can bound how long it waits.
+fn in_background(
+    addr: SocketAddr,
+    method: &'static str,
+    target: &str,
+    body: &str,
+) -> mpsc::Receiver<Http> {
+    let (tx, rx) = mpsc::channel();
+    let (target, body) = (target.to_string(), body.to_string());
+    std::thread::spawn(move || {
+        let _ = tx.send(request(addr, method, &target, &body));
+    });
+    rx
 }
 
 fn bind(threads: usize, queue_depth: usize) -> ServerHandle {
@@ -269,6 +286,99 @@ fn batch_export(text: &str) -> String {
     let mut out = Vec::new();
     write_patterns_json(&mut out, db.items(), &patterns).unwrap();
     String::from_utf8(out).unwrap()
+}
+
+#[test]
+fn hot_fetches_never_wait_for_the_dataset_lock() {
+    let handle = bind(4, 16);
+    let addr = handle.addr();
+    // The running example plus a sparse `pad` tail: 20 transactions, and
+    // a small appended batch stays under the delta cost-model budget.
+    let mut text = running_example_text();
+    for ts in [20, 26, 32, 38, 44, 50, 56, 62] {
+        text.push_str(&format!("{ts}\tpad\n"));
+    }
+    let up = request(addr, "POST", "/v1/datasets/shop?per=2&min-ps=3&min-rec=2", &text);
+    assert_eq!(up.status, 201, "{}", up.body);
+    let hot = "/v1/datasets/shop/mine?per=2&min-ps=3&min-rec=2";
+    // 15% of the 20 committed transactions resolves to the hot min-ps 3.
+    let pct = "/v1/datasets/shop/mine?per=2&min-ps=15%25&min-rec=2";
+    let warm = request(addr, "POST", hot, "");
+    assert_eq!(warm.header("x-rpm-cache"), "miss");
+    assert_eq!(warm.body, batch_export(&text));
+    let mut fetches = 1;
+
+    // While the test holds the dataset's write lock, hot fetches (the
+    // percentage one resolved against the published head's transaction
+    // count) are answered from the cache with the pre-lock bytes.
+    let dataset = handle.registry().get("shop").expect("registered");
+    let guard = dataset.write().unwrap();
+    for target in [hot, pct] {
+        let got = in_background(addr, "POST", target, "")
+            .recv_timeout(Duration::from_secs(20))
+            .expect("a hit never waits for the dataset lock");
+        fetches += 1;
+        assert_eq!(got.status, 200, "{target}: {}", got.body);
+        assert_eq!(got.header("x-rpm-cache"), "hit", "{target}");
+        assert_eq!(got.body, warm.body, "{target}");
+    }
+    // An append to the dataset waits for the lock, and a fetch meanwhile
+    // still sees the committed version.
+    let lines = "70\tz\n71\tz\n72\tz\n76\tz\n77\tz\n78\tz\n";
+    let append = in_background(addr, "POST", "/v1/datasets/shop/append", lines);
+    assert!(append.recv_timeout(Duration::from_millis(300)).is_err(), "the append waits");
+    let parked = in_background(addr, "POST", hot, "")
+        .recv_timeout(Duration::from_secs(20))
+        .expect("a hit never waits for a parked append");
+    fetches += 1;
+    assert_eq!(parked.body, warm.body, "the parked append is not visible yet");
+    drop(guard);
+    let appended = append.recv_timeout(Duration::from_secs(60)).expect("the append completes");
+    assert_eq!(appended.status, 200, "{}", appended.body);
+    assert!(appended.body.contains("\"patched\":true"), "{}", appended.body);
+
+    // After the acknowledged (patched) append, the next fetch is the new
+    // content. 15% of the 26 transactions is now min-ps 4: another key.
+    text.push_str(lines);
+    let after = request(addr, "POST", hot, "");
+    assert_eq!(after.header("x-rpm-cache"), "hit");
+    assert_eq!(after.body, batch_export(&text), "the patched entry is the new content");
+    let pct_after = request(addr, "POST", pct, "");
+    let four = request(addr, "POST", "/v1/datasets/shop/mine?per=2&min-ps=4&min-rec=2", "");
+    fetches += 3;
+    assert_eq!(pct_after.header("x-rpm-cache"), "miss", "resolved against 26 transactions");
+    assert_eq!(four.header("x-rpm-cache"), "hit");
+    assert_eq!(pct_after.body, four.body);
+
+    // An append too large to patch invalidates: the next fetch mines the
+    // new content.
+    let lines = "82\ta b\n83\ta b\n84\ta b\n85\ta b\n86\ta b\n87\ta b\n";
+    let append = request(addr, "POST", "/v1/datasets/shop/append", lines);
+    assert!(append.body.contains("\"patched\":false"), "{}", append.body);
+    text.push_str(lines);
+    let after = request(addr, "POST", hot, "");
+    fetches += 1;
+    assert_eq!(after.header("x-rpm-cache"), "miss");
+    assert_eq!(after.body, batch_export(&text));
+
+    // After `replace=true`, no fetch returns the replaced content.
+    let replaced = running_example_text();
+    let up =
+        request(addr, "POST", "/v1/datasets/shop?per=2&min-ps=3&min-rec=2&replace=true", &replaced);
+    assert_eq!(up.status, 201, "{}", up.body);
+    for cache in ["miss", "hit"] {
+        let got = request(addr, "POST", hot, "");
+        fetches += 1;
+        assert_eq!(got.header("x-rpm-cache"), cache);
+        assert_eq!(got.body, batch_export(&replaced), "the replacement's patterns");
+        assert_ne!(got.body, after.body);
+    }
+
+    // The cache counts each fetch's lookup once, hit path or locked path.
+    let metrics = request(addr, "GET", "/v1/metrics", "");
+    assert_eq!(metrics.counter("hits") + metrics.counter("misses"), fetches, "{}", metrics.body);
+    handle.shutdown();
+    handle.join();
 }
 
 #[test]
