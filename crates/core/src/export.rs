@@ -12,16 +12,22 @@
 //! [`push_json_str`], the workspace's one JSON string escaper.
 //!
 //! The writers sit on the serving path (every mine, append patch and
-//! `active` stab renders through [`write_patterns_json`]), so they
-//! allocate nothing per record. Integers are formatted straight into one
-//! reused byte buffer, which is handed to the sink every 64 KiB. Each
+//! `active` stab renders a pattern's JSON line through one renderer), so
+//! they allocate nothing per record. Integers are formatted straight into
+//! one reused byte buffer, which is handed to the sink every 64 KiB. Each
 //! label is escaped once per call, on first use, and copied from then on.
+//!
+//! A served result that an append patches changes in a few of its lines:
+//! [`splice_patterns_json`] builds the new body from the previous one,
+//! copying the line of every pattern the append left equal and rendering
+//! only the rest, and records where each line ends for the next splice.
 
 use std::io::Write;
+use std::ops::Range;
 
 use rpm_timeseries::{ItemId, ItemTable};
 
-use crate::pattern::{PeriodicInterval, RecurringPattern};
+use crate::pattern::{canonical_cmp, PeriodicInterval, RecurringPattern};
 use crate::rules::RecurringRule;
 
 /// Bytes a writer renders before handing them to its sink in one
@@ -177,6 +183,20 @@ fn write_records<W: Write, T>(
     w.flush()
 }
 
+/// Appends `p`'s JSON line, newline included: the one line renderer
+/// behind [`write_patterns_json`] and [`splice_patterns_json`].
+fn push_pattern_line(out: &mut Vec<u8>, labels: &mut QuotedLabels<'_>, p: &RecurringPattern) {
+    out.extend_from_slice(b"{\"items\":");
+    labels.push_array(out, &p.items);
+    out.extend_from_slice(b",\"support\":");
+    push_u64(out, p.support as u64);
+    out.extend_from_slice(b",\"recurrence\":");
+    push_u64(out, p.recurrence() as u64);
+    out.extend_from_slice(b",\"intervals\":");
+    push_intervals_json(out, &p.intervals);
+    out.extend_from_slice(b"}\n");
+}
+
 /// Writes `patterns` as JSON lines:
 /// `{"items":["a","b"],"support":7,"recurrence":2,"intervals":[{"start":1,"end":4,"ps":3},…]}`.
 pub fn write_patterns_json<W: Write>(
@@ -186,17 +206,82 @@ pub fn write_patterns_json<W: Write>(
 ) -> std::io::Result<()> {
     let mut labels = QuotedLabels::new(items);
     write_records(w, b"", patterns, |out, p| {
-        out.extend_from_slice(b"{\"items\":");
-        labels.push_array(out, &p.items);
-        out.extend_from_slice(b",\"support\":");
-        push_u64(out, p.support as u64);
-        out.extend_from_slice(b",\"recurrence\":");
-        push_u64(out, p.recurrence() as u64);
-        out.extend_from_slice(b",\"intervals\":");
-        push_intervals_json(out, &p.intervals);
-        out.extend_from_slice(b"}\n");
+        push_pattern_line(out, &mut labels, p);
         Ok(())
     })
+}
+
+/// The byte range of line `i` of a body whose lines end at `ends`.
+fn line_range(ends: &[u32], i: usize) -> Option<Range<usize>> {
+    let start = i.checked_sub(1).map_or(Some(0), |j| ends.get(j).copied())?;
+    Some(start as usize..*ends.get(i)? as usize)
+}
+
+/// A pattern set in canonical order with its JSON-lines body and the byte
+/// offset at which each pattern's line ends, as [`splice_patterns_json`]
+/// returns them.
+pub type RenderedLines<'a> = (&'a [RecurringPattern], &'a [u8], &'a [u32]);
+
+/// Renders `patterns`, in canonical order, to the bytes
+/// [`write_patterns_json`] writes, and returns them with the offset at
+/// which each pattern's line ends.
+///
+/// With `previous`, an earlier set rendered by this function over the same
+/// (possibly since grown) item table, the two sets are walked together in
+/// canonical order: the line of every pattern equal to one in `previous`
+/// is copied, runs of adjacent lines in one piece, and only the rest are
+/// rendered. Labels never change once interned, so a copied line is
+/// exactly what rendering would write. A `previous` whose line ends do not
+/// match its patterns and body is ignored, and so is every line end when
+/// the body outgrows `u32`: the next splice then renders in full.
+pub fn splice_patterns_json(
+    items: &ItemTable,
+    patterns: &[RecurringPattern],
+    previous: Option<RenderedLines<'_>>,
+) -> (Vec<u8>, Vec<u32>) {
+    let (old, old_body, old_ends) = previous
+        .filter(|(old, body, ends)| {
+            ends.len() == old.len() && ends.last().map_or(0, |&e| e as usize) == body.len()
+        })
+        .unwrap_or((&[], &[], &[]));
+    let mut labels = QuotedLabels::new(items);
+    // Room for lines that grew, so the body is not moved while it is built.
+    let mut body =
+        Vec::with_capacity((old_body.len() + old_body.len() / 8).max(patterns.len() * 128));
+    let mut ends = Vec::with_capacity(patterns.len());
+    // The run of old lines copied back to back but not yet appended.
+    let mut run = 0..0;
+    let mut at = 0;
+    for p in patterns {
+        while old.get(at).is_some_and(|q| canonical_cmp(&q.items, &p.items).is_lt()) {
+            at += 1;
+        }
+        let copied = if old.get(at) == Some(p) { line_range(old_ends, at) } else { None };
+        match copied {
+            Some(line) => {
+                if line.start != run.end {
+                    body.extend_from_slice(old_body.get(run).unwrap_or_default());
+                    run = line.start..line.start;
+                }
+                run.end = line.end;
+                at += 1;
+                ends.push((body.len() + run.len()) as u32);
+            }
+            None => {
+                body.extend_from_slice(old_body.get(run).unwrap_or_default());
+                run = 0..0;
+                push_pattern_line(&mut body, &mut labels, p);
+                ends.push(body.len() as u32);
+            }
+        }
+    }
+    body.extend_from_slice(old_body.get(run).unwrap_or_default());
+    // The ends ascend to `body.len()`, so if that fits in a `u32` none of
+    // the casts above truncated.
+    if u32::try_from(body.len()).is_err() {
+        ends.clear();
+    }
+    (body, ends)
 }
 
 /// Writes `patterns` as TSV with header
@@ -508,6 +593,85 @@ mod tests {
                 periodic_support: random_count(rng),
             })
             .collect()
+    }
+
+    /// Where each line of a JSON-lines body ends: after every raw newline
+    /// (a label's newline is escaped, so raw ones only close lines).
+    fn oracle_ends(body: &[u8]) -> Vec<u32> {
+        (0..body.len()).filter(|&i| body[i] == b'\n').map(|i| i as u32 + 1).collect()
+    }
+
+    #[test]
+    fn spliced_bodies_equal_a_full_render_byte_for_byte() {
+        use crate::incremental::IncrementalMiner;
+        use crate::params::ResolvedParams;
+        let (mut copied, mut remeasured, mut fresh, mut late) = (0, 0, 0, 0);
+        for seed in 0..16u64 {
+            let mut rng = Pcg32::seed_from_u64(seed);
+            let per = rng.random_range(2..5i64);
+            let mut miner = IncrementalMiner::new(ResolvedParams::new(per, 2, 1));
+            let mut previous: Option<(Vec<RecurringPattern>, Vec<u8>, Vec<u32>)> = None;
+            let mut old_items = 0;
+            let mut ts = 0;
+            for step in 0..24 {
+                // A batch over an escape-heavy label pool that widens as the
+                // stream runs, so later sets name labels interned after the
+                // previous body was rendered.
+                let pool = (4 + step / 3).min(LABELS.len());
+                for _ in 0..rng.random_range(1..6usize) {
+                    ts += rng.random_range(0..3i64);
+                    let labels: Vec<&str> =
+                        LABELS[..pool].iter().copied().filter(|_| rng.random_f64() < 0.4).collect();
+                    if !labels.is_empty() {
+                        miner.append(ts, &labels).unwrap();
+                    }
+                }
+                let items = miner.db().items();
+                let patterns = miner.mine().patterns;
+                let mut want = Vec::new();
+                write_patterns_json(&mut want, items, &patterns).unwrap();
+                let base = previous.as_ref().map(|(p, b, e)| (&p[..], &b[..], &e[..]));
+                let (body, ends) = splice_patterns_json(items, &patterns, base);
+                assert_eq!(body, want, "seed {seed}, step {step}");
+                assert_eq!(ends, oracle_ends(&want), "seed {seed}, step {step}");
+                let full = splice_patterns_json(items, &patterns, None);
+                assert_eq!((&full.0, &full.1), (&body, &ends), "no previous body");
+                if let Some((old, _, _)) = &previous {
+                    for p in &patterns {
+                        match old.iter().find(|q| q.items == p.items) {
+                            Some(q) if q == p => copied += 1,
+                            Some(_) => remeasured += 1,
+                            None => fresh += 1,
+                        }
+                        late += usize::from(p.items.iter().any(|i| i.index() >= old_items));
+                    }
+                }
+                old_items = items.len();
+                previous = Some((patterns, body, ends));
+            }
+        }
+        assert!(
+            copied > 500 && remeasured > 100 && fresh > 100 && late > 10,
+            "copied {copied}, re-measured {remeasured}, new {fresh}, late labels {late}"
+        );
+    }
+
+    #[test]
+    fn a_previous_body_that_does_not_match_its_line_ends_is_ignored() {
+        let (db, patterns) = mined();
+        let (body, ends) = splice_patterns_json(db.items(), &patterns, None);
+        let mut want = Vec::new();
+        write_patterns_json(&mut want, db.items(), &patterns).unwrap();
+        assert_eq!((&body, &ends), (&want, &oracle_ends(&want)));
+        // One end short, or a body one byte long: rendered in full.
+        let garbled = vec![b'x'; body.len()];
+        let short = &ends[..ends.len() - 1];
+        for base in
+            [(&patterns[..], &garbled[..], short), (&patterns[..], &garbled[..1], &ends[..])]
+        {
+            let (got, got_ends) = splice_patterns_json(db.items(), &patterns, Some(base));
+            assert_eq!((&got, &got_ends), (&want, &ends));
+        }
     }
 
     #[test]

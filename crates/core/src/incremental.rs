@@ -12,8 +12,17 @@
 //! over the stored transactions. The delta miner ([`crate::delta`]) reads
 //! its full fallback's list and every dirty singleton's measures the same
 //! way.
+//!
+//! The miner also keeps the content [`rpm_timeseries::fingerprint`] of its
+//! stream running: each label is folded into the label chain as it is
+//! interned, and each transaction into the transaction chain, whose value
+//! after every prefix is kept. [`IncrementalMiner::fingerprint`] joins the
+//! two in O(1) instead of hashing the whole database per append.
 
-use rpm_timeseries::{fnv1a, ItemId, Timestamp, TransactionDb, FNV1A_OFFSET};
+use rpm_timeseries::{
+    chain_label, chain_transaction, join_fingerprint, ItemId, ItemTable, Timestamp, TransactionDb,
+    FNV1A_OFFSET,
+};
 
 use crate::checkpoint::PatternCheckpoint;
 use crate::engine::observer::NOOP;
@@ -51,33 +60,40 @@ pub struct IncrementalMiner {
     /// its frontier-projected tree needs, so delta cost tracks the dirty
     /// items' support instead of the database length.
     postings: Vec<Vec<u32>>,
-    /// `prefix_hashes[i]` = chained content hash of `transactions[0..=i]`.
-    /// A same-timestamp merge rewrites only the last slot, so
-    /// [`crate::delta::PatternStore`] snapshots can verify in O(1) that they
-    /// describe a prefix of *this* stream (and whether the boundary
-    /// transaction changed) without rescanning the database.
+    /// `prefix_hashes[i]` = the fingerprint's transaction chain
+    /// ([`chain_transaction`]) over `transactions[0..=i]`. A same-timestamp
+    /// merge rewrites only the last slot, so [`crate::delta::PatternStore`]
+    /// snapshots can verify in O(1) that they describe a prefix of *this*
+    /// stream (and whether the boundary transaction changed) without
+    /// rescanning the database.
     prefix_hashes: Vec<u64>,
-}
-
-/// Folds one transaction into a chained FNV-1a prefix hash (seeded with
-/// [`FNV1A_OFFSET`] for the empty prefix).
-fn chain_tx_hash(h: u64, ts: Timestamp, items: &[ItemId]) -> u64 {
-    items.iter().fold(fnv1a(h, &ts.to_le_bytes()), |h, item| fnv1a(h, &item.0.to_le_bytes()))
+    /// The fingerprint's label chain ([`chain_label`]) over the item table.
+    /// Labels are folded as they are interned, so the labels of a row
+    /// rejected for time order, which stay in the table, count too.
+    label_hash: u64,
 }
 
 impl IncrementalMiner {
     /// Creates an empty miner.
     pub fn new(params: ResolvedParams) -> Self {
-        Self::with_items(rpm_timeseries::ItemTable::new(), params)
+        Self::with_items(ItemTable::new(), params)
     }
 
     /// Creates an empty miner with a pre-seeded vocabulary, so that
     /// [`IncrementalMiner::append_ids`] can be fed ids interned elsewhere
     /// (e.g. when replaying an existing [`TransactionDb`]).
-    pub fn with_items(items: rpm_timeseries::ItemTable, params: ResolvedParams) -> Self {
+    pub fn with_items(items: ItemTable, params: ResolvedParams) -> Self {
+        let label_hash = items.labels().fold(FNV1A_OFFSET, chain_label);
         let mut db = TransactionDb::builder().build();
         *db.items_mut() = items;
-        Self { params, db, scans: Vec::new(), postings: Vec::new(), prefix_hashes: Vec::new() }
+        Self {
+            params,
+            db,
+            scans: Vec::new(),
+            postings: Vec::new(),
+            prefix_hashes: Vec::new(),
+            label_hash,
+        }
     }
 
     /// The parameters the miner was created with.
@@ -100,18 +116,29 @@ impl IncrementalMiner {
         &self.db
     }
 
-    /// Content fingerprint of the accumulated database (see
-    /// [`rpm_timeseries::fingerprint`]). Changes on every successful append,
-    /// so serving layers can use it to key — and invalidate — caches of
-    /// results mined from this stream.
+    /// Content fingerprint of the accumulated database, equal to
+    /// [`rpm_timeseries::fingerprint`] of [`IncrementalMiner::db`] but
+    /// answered in O(1) from the running chains. Changes on every
+    /// successful append, so serving layers can use it to key — and
+    /// invalidate — caches of results mined from this stream.
     pub fn fingerprint(&self) -> u64 {
-        rpm_timeseries::fingerprint(&self.db)
+        join_fingerprint(self.label_hash, self.prefix_hash_at(self.db.len()))
     }
 
     /// Ingests one transaction. `ts` must be `>=` the last appended
     /// timestamp (equal timestamps merge); item state is updated in O(|t|).
+    /// New labels are interned (and fingerprinted) before the order check,
+    /// so a rejected row leaves them in the table.
     pub fn append(&mut self, ts: Timestamp, labels: &[&str]) -> rpm_timeseries::Result<()> {
-        let ids: Vec<ItemId> = labels.iter().map(|l| self.db.items_mut().intern(l)).collect();
+        let mut ids = Vec::with_capacity(labels.len());
+        for &label in labels {
+            let known = self.db.item_count();
+            let id = self.db.items_mut().intern(label);
+            if id.index() == known {
+                self.label_hash = chain_label(self.label_hash, label);
+            }
+            ids.push(id);
+        }
         self.append_ids(ts, ids)
     }
 
@@ -146,7 +173,7 @@ impl IncrementalMiner {
         // chained hash is recomputed from the immutable prefix either way.
         let base = if tx == 0 { FNV1A_OFFSET } else { self.prefix_hashes[tx as usize - 1] };
         let t = self.db.transaction(tx as usize);
-        let h = chain_tx_hash(base, t.timestamp(), t.items());
+        let h = chain_transaction(base, t.timestamp(), t.items());
         if self.db.len() == before {
             self.prefix_hashes[tx as usize] = h;
         } else {
@@ -161,7 +188,8 @@ impl IncrementalMiner {
         self.postings.get(item.index()).map_or(&[], Vec::as_slice)
     }
 
-    /// Chained content hash of the first `len` transactions, O(1).
+    /// The fingerprint's transaction chain over the first `len`
+    /// transactions, O(1).
     pub(crate) fn prefix_hash_at(&self, len: usize) -> u64 {
         if len == 0 {
             FNV1A_OFFSET
@@ -320,6 +348,79 @@ mod tests {
         }
         assert_eq!(seeded.len(), source.len());
         assert_eq!(seeded.mine().patterns, mine_resolved(&source, params).patterns);
+    }
+
+    #[test]
+    fn running_fingerprint_equals_the_whole_database_hash_after_every_append() {
+        // Seeded streams covering the three ways the running chains can
+        // drift from a whole-database hash: same-timestamp merges (the last
+        // transaction is re-folded), rows rejected for time order after
+        // interning new labels (the labels stay), and a seeded table with
+        // labels no transaction uses.
+        use rpm_timeseries::prng::Pcg32;
+        for seed in 0..12u64 {
+            let mut rng = Pcg32::seed_from_u64(seed);
+            let params = ResolvedParams::new(2, 2, 1);
+            let mut miner = if seed % 3 == 0 {
+                let mut table = ItemTable::new();
+                for i in 0..rng.random_range(1..6usize) {
+                    table.intern(&format!("unused-{i}"));
+                }
+                IncrementalMiner::with_items(table, params)
+            } else {
+                IncrementalMiner::new(params)
+            };
+            assert_eq!(miner.fingerprint(), rpm_timeseries::fingerprint(miner.db()), "seed {seed}");
+            let (mut ts, mut merges, mut rejected) = (0i64, 0, 0);
+            for step in 0..80 {
+                // Mostly forward, sometimes the same timestamp (a merge),
+                // sometimes backwards (a rejection).
+                let next = match rng.random_range(0..10u32) {
+                    0..=1 => ts,
+                    2 => ts - rng.random_range(1..4i64),
+                    _ => ts + rng.random_range(1..4i64),
+                };
+                let fresh = format!("new-{seed}-{step}");
+                let mut labels: Vec<String> =
+                    (0..6).filter(|_| rng.random_f64() < 0.35).map(|i| format!("i{i}")).collect();
+                if rng.random_f64() < 0.2 {
+                    labels.push(fresh);
+                }
+                if labels.is_empty() {
+                    continue;
+                }
+                let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
+                let len = miner.len();
+                match miner.append(next, &refs) {
+                    Ok(()) => {
+                        merges += usize::from(miner.len() == len && len > 0);
+                        ts = next;
+                    }
+                    Err(_) => rejected += 1,
+                }
+                assert_eq!(
+                    miner.fingerprint(),
+                    rpm_timeseries::fingerprint(miner.db()),
+                    "seed {seed}, step {step}"
+                );
+            }
+            assert!(
+                merges > 0 && rejected > 0,
+                "seed {seed}: {merges} merges, {rejected} rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn a_rejected_row_still_fingerprints_its_new_labels() {
+        let mut miner = IncrementalMiner::new(ResolvedParams::new(1, 1, 1));
+        miner.append(5, &["a"]).unwrap();
+        let before = miner.fingerprint();
+        assert!(miner.append(3, &["a", "late-label"]).is_err());
+        assert_eq!(miner.len(), 1, "the row was rejected");
+        assert_eq!(miner.db().item_count(), 2, "its new label was interned");
+        assert_ne!(miner.fingerprint(), before, "and counts towards the fingerprint");
+        assert_eq!(miner.fingerprint(), rpm_timeseries::fingerprint(miner.db()));
     }
 
     #[test]

@@ -66,7 +66,10 @@ pub use engine::{
     AbortReason, CancelToken, MetricsCollector, MiningError, MiningOutcome, MiningSession,
     NoopObserver, Observer, ProgressReporter, RunControl,
 };
-pub use export::{push_json_str, write_patterns_json, write_patterns_tsv, write_rules_json};
+pub use export::{
+    push_json_str, splice_patterns_json, write_patterns_json, write_patterns_tsv, write_rules_json,
+    RenderedLines,
+};
 pub use growth::{MineScratch, MiningResult, MiningStats, RpGrowth};
 pub use incremental::IncrementalMiner;
 pub use index::PatternIndex;

@@ -4,9 +4,11 @@
 //! Popular thresholds repeat — a dashboard polling "patterns at 2%" should
 //! re-mine only when the dataset changes. The key's dataset half is the
 //! content fingerprint ([`rpm_timeseries::fingerprint`]), so an append
-//! *implicitly* invalidates every entry of the old content; the registry
-//! additionally calls [`ResultCache::invalidate_fingerprint`] on append so
-//! stale entries free their memory immediately instead of aging out.
+//! *implicitly* invalidates every entry of the old content; the server
+//! additionally retires them with [`ResultCache::invalidate_fingerprint`]
+//! once no head names that content, so stale entries free their memory
+//! immediately instead of aging out. The entries are dropped after the
+//! cache's mutex is released.
 //!
 //! Only **complete** results are cached. A partial result reflects a
 //! deadline, not the data; serving it from cache would return different
@@ -15,17 +17,22 @@
 //! Because the key names content, not a dataset, a hit is a complete
 //! result for one committed version whatever lock its reader holds. That
 //! is what lets `POST …/mine` serve a hit from the dataset's published
-//! head without the dataset lock ([`ResultCache::hit`]): a head that is
-//! one append behind still names a version that existed, and a head that
-//! is ahead of the cache misses and falls through to the locked path,
-//! which waits for the append's patch.
+//! head without the dataset lock ([`ResultCache::hit`]). An append moves
+//! the head only once [`ResultCache::patch`] holds the new version's hot
+//! entry, and retires the old version only after that, so a hot fetch
+//! meanwhile is a hit on the version before it.
+//!
+//! An entry at a dataset's hot parameters also keeps where each pattern's
+//! line ends in its body: the next append's patch splices its body from
+//! them ([`rpm_core::splice_patterns_json`]) instead of rendering every
+//! line again.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use rpm_core::pattern::RecurringPattern;
 use rpm_core::sync::lock_recover;
-use rpm_core::{PatternIndex, ResolvedParams};
+use rpm_core::{PatternIndex, RenderedLines, ResolvedParams};
 
 /// One cached complete result: the rendered JSON-lines body served byte-for-
 /// byte on a hit, the patterns themselves, and a lazily built stabbing index
@@ -36,16 +43,40 @@ pub struct CachedResult {
     pub body: Arc<Vec<u8>>,
     /// The mined pattern set.
     pub patterns: Arc<Vec<RecurringPattern>>,
+    /// Where each pattern's line ends in `body`; kept only at a dataset's
+    /// hot parameters, empty elsewhere.
+    line_ends: Vec<u32>,
     index: OnceLock<Arc<PatternIndex>>,
 }
 
 impl CachedResult {
-    /// Creates an entry; the index is built on first [`CachedResult::index`].
-    /// The body is trimmed to its length, so the cache holds exactly the
-    /// bytes its budget charges for.
-    pub fn new(mut body: Vec<u8>, patterns: Vec<RecurringPattern>) -> Self {
+    /// Creates an entry without line ends; the index is built on first
+    /// [`CachedResult::index`]. The body is trimmed to its length, so the
+    /// cache holds exactly the bytes its budget charges for.
+    pub fn new(body: Vec<u8>, patterns: Vec<RecurringPattern>) -> Self {
+        Self::with_line_ends(body, Vec::new(), patterns)
+    }
+
+    /// Creates an entry that keeps where each pattern's line ends in
+    /// `body`, as [`rpm_core::splice_patterns_json`] returned them.
+    pub(crate) fn with_line_ends(
+        mut body: Vec<u8>,
+        mut line_ends: Vec<u32>,
+        patterns: Vec<RecurringPattern>,
+    ) -> Self {
         body.shrink_to_fit();
-        Self { body: Arc::new(body), patterns: Arc::new(patterns), index: OnceLock::new() }
+        line_ends.shrink_to_fit();
+        Self {
+            body: Arc::new(body),
+            patterns: Arc::new(patterns),
+            line_ends,
+            index: OnceLock::new(),
+        }
+    }
+
+    /// The patterns, body and line ends a splice starts from.
+    pub(crate) fn lines(&self) -> RenderedLines<'_> {
+        (&self.patterns, &self.body, &self.line_ends)
     }
 
     /// The interval-stabbing index over the cached patterns, built once.
@@ -59,7 +90,7 @@ impl CachedResult {
             self.patterns.iter().map(|p| p.items.len() * 4 + p.intervals.len() * 24 + 64).sum();
         // The index (if built) roughly doubles the pattern storage; charge
         // for it up front so building it cannot blow the budget later.
-        self.body.len() + pattern_bytes * 2
+        self.body.len() + self.line_ends.len() * 4 + pattern_bytes * 2
     }
 }
 
@@ -68,6 +99,10 @@ struct Slot {
     result: Arc<CachedResult>,
     cost: usize,
     last_used: u64,
+    /// The fingerprint of the entry that [`ResultCache::patch`] installed
+    /// as this one's successor. A superseded entry is still served until it
+    /// is retired, but retiring it is not an invalidation.
+    successor: Option<u64>,
 }
 
 #[derive(Debug, Default)]
@@ -83,20 +118,18 @@ struct CacheState {
 }
 
 impl CacheState {
-    /// Removes every entry keyed to the dataset content `fingerprint`,
-    /// returning how many were dropped. The caller decides which counter
-    /// they land in (invalidations vs. part of a patch).
-    fn remove_fingerprint(&mut self, fingerprint: u64) -> u64 {
+    /// Removes every entry keyed to the dataset content `fingerprint` and
+    /// hands them back, so the caller drops them after releasing the lock.
+    /// Each one not superseded by a patch counts as an invalidation.
+    fn remove_fingerprint(&mut self, fingerprint: u64) -> Vec<Slot> {
         let stale: Vec<(u64, ResolvedParams)> =
             self.slots.keys().filter(|(fp, _)| *fp == fingerprint).copied().collect();
-        let mut dropped = 0;
-        for key in stale {
-            if let Some(slot) = self.slots.remove(&key) {
-                self.bytes -= slot.cost;
-                dropped += 1;
-            }
+        let removed: Vec<Slot> = stale.iter().filter_map(|key| self.slots.remove(key)).collect();
+        for slot in &removed {
+            self.bytes -= slot.cost;
+            self.invalidations += u64::from(slot.successor.is_none());
         }
-        dropped
+        removed
     }
 
     /// Inserts one entry and evicts LRU victims until `budget` holds.
@@ -108,8 +141,8 @@ impl CacheState {
         budget: usize,
     ) {
         self.tick += 1;
-        let tick = self.tick;
-        if let Some(old) = self.slots.insert(key, Slot { result, cost, last_used: tick }) {
+        let slot = Slot { result, cost, last_used: self.tick, successor: None };
+        if let Some(old) = self.slots.insert(key, slot) {
             self.bytes -= old.cost;
         }
         self.bytes += cost;
@@ -177,6 +210,16 @@ impl ResultCache {
         self.lookup(fingerprint, params, false)
     }
 
+    /// The entry under `(fingerprint, params)`, counted as neither a hit
+    /// nor a miss: what an append's patch splices its body from.
+    pub(crate) fn peek(
+        &self,
+        fingerprint: u64,
+        params: ResolvedParams,
+    ) -> Option<Arc<CachedResult>> {
+        lock_recover(&self.state).slots.get(&(fingerprint, params)).map(|slot| slot.result.clone())
+    }
+
     fn lookup(
         &self,
         fingerprint: u64,
@@ -214,21 +257,29 @@ impl ResultCache {
     }
 
     /// Drops every entry mined from the dataset content `fingerprint` —
-    /// called by the registry when an append retires that content.
+    /// called when no head names that content any more: after an append
+    /// has moved its dataset's head past it, or after a replacing upload.
+    /// The entries are freed after the cache's lock is released.
     pub fn invalidate_fingerprint(&self, fingerprint: u64) {
         let mut state = lock_recover(&self.state);
-        let dropped = state.remove_fingerprint(fingerprint);
-        state.invalidations += dropped;
+        let removed = state.remove_fingerprint(fingerprint);
+        drop(state);
+        drop(removed);
     }
 
-    /// Atomically retires every entry of `old_fingerprint` and installs a
-    /// fresh delta-mined result under `(new_fingerprint, params)` — the
-    /// append path's alternative to [`ResultCache::invalidate_fingerprint`]
-    /// when the dataset's pattern store could absorb the append
-    /// incrementally. Entries of the old content at *other* parameters
-    /// cannot be patched (the delta ran at the hot parameters only); they
-    /// count as invalidations as usual, while the in-place replacement
+    /// Installs a fresh delta-mined result under `(new_fingerprint,
+    /// params)` as the successor of the `(old_fingerprint, params)` entry —
+    /// the append path's alternative to a plain invalidation when the
+    /// dataset's pattern store could absorb the append incrementally. It
     /// counts as a patch, not a miss-then-insert.
+    ///
+    /// The old content's entries stay in place, so readers whose head still
+    /// names it keep hitting, until [`ResultCache::invalidate_fingerprint`]
+    /// retires them: the superseded entry then leaves uncounted, and
+    /// entries at *other* parameters, which the delta could not patch,
+    /// count as invalidations. A caller that never retires loses them at
+    /// the next patch along the same line of versions, so no more than one
+    /// superseded version outlives its successor's patch.
     pub fn patch(
         &self,
         old_fingerprint: u64,
@@ -237,17 +288,27 @@ impl ResultCache {
         result: Arc<CachedResult>,
     ) {
         let cost = result.cost_bytes();
-        let mut state = lock_recover(&self.state);
-        let dropped = state.remove_fingerprint(old_fingerprint);
         if cost > self.budget_bytes {
-            // Too big to hold: the patch degenerates to an invalidation.
-            state.invalidations += dropped;
+            // Too big to hold: retiring the old content will invalidate it.
             return;
         }
-        state.invalidations += dropped.saturating_sub(1);
+        let mut state = lock_recover(&self.state);
+        let unretired: Vec<u64> = state
+            .slots
+            .iter()
+            .filter(|(_, slot)| slot.successor == Some(old_fingerprint))
+            .map(|(&(fp, _), _)| fp)
+            .collect();
+        let removed: Vec<Slot> =
+            unretired.into_iter().flat_map(|fp| state.remove_fingerprint(fp)).collect();
+        if let Some(slot) = state.slots.get_mut(&(old_fingerprint, params)) {
+            slot.successor = Some(new_fingerprint);
+        }
         state.patches += 1;
         // lint:allow(lock-order): insert_evicting touches only the guarded CacheState; its `slots.insert` is HashMap::insert, which the name-based resolver confuses with ResultCache::insert — no re-entry
         state.insert_evicting((new_fingerprint, params), result, cost, self.budget_bytes);
+        drop(state);
+        drop(removed);
     }
 
     /// A snapshot of the cache counters.
@@ -347,13 +408,18 @@ mod tests {
     }
 
     #[test]
-    fn patch_replaces_hot_entry_and_invalidates_the_rest() {
+    fn patch_replaces_hot_entry_and_retiring_invalidates_the_rest() {
         let cache = ResultCache::new(1 << 20);
         cache.insert(1, params(1), entry(10)); // hot-params entry
         cache.insert(1, params(2), entry(10)); // other-params entry
         cache.insert(9, params(1), entry(10)); // unrelated dataset
         cache.patch(1, 2, params(1), entry(20));
-        // Old content fully retired; the patched key serves immediately.
+        // Until the old content is retired, readers on it still hit.
+        assert_eq!(cache.peek(1, params(1)).unwrap().body.len(), 10);
+        assert!(cache.peek(1, params(2)).is_some());
+        assert_eq!(cache.peek(2, params(1)).unwrap().body.len(), 20);
+        assert_eq!(cache.stats().invalidations, 0);
+        cache.invalidate_fingerprint(1);
         assert!(cache.get(1, params(1)).is_none());
         assert!(cache.get(1, params(2)).is_none());
         assert_eq!(cache.get(2, params(1)).unwrap().body.len(), 20);
@@ -365,11 +431,32 @@ mod tests {
     }
 
     #[test]
+    fn an_unretired_version_goes_at_the_next_patch_along_its_line() {
+        let cache = ResultCache::new(1 << 20);
+        cache.insert(1, params(1), entry(10));
+        cache.insert(1, params(2), entry(10));
+        cache.insert(7, params(1), entry(10)); // another line of versions
+        cache.patch(7, 8, params(1), entry(10));
+        cache.patch(1, 2, params(1), entry(10));
+        cache.patch(2, 3, params(1), entry(10));
+        // Version 1 was never retired; patching its successor retires it.
+        assert!(cache.peek(1, params(1)).is_none());
+        assert!(cache.peek(1, params(2)).is_none());
+        assert!(cache.peek(2, params(1)).is_some(), "the version just superseded stays");
+        assert!(cache.peek(7, params(1)).is_some(), "other lines untouched");
+        assert_eq!(cache.stats().invalidations, 1, "the unpatchable params entry");
+        cache.invalidate_fingerprint(2);
+        let stats = cache.stats();
+        assert_eq!((stats.patches, stats.invalidations, stats.entries), (3, 1, 3));
+    }
+
+    #[test]
     fn oversized_patch_degenerates_to_invalidation() {
         let cache = ResultCache::new(50);
         cache.insert(1, params(1), entry(10));
         cache.patch(1, 2, params(1), entry(1000));
         assert!(cache.get(2, params(1)).is_none());
+        cache.invalidate_fingerprint(1);
         let stats = cache.stats();
         assert_eq!(stats.patches, 0);
         assert_eq!(stats.invalidations, 1);

@@ -9,15 +9,20 @@
 //!   per-item interval scanners live;
 //! * a **result cache** ([`ResultCache`]) keyed by
 //!   `(dataset fingerprint, ResolvedParams)`; an append **patches** the
-//!   hot-params entry in place via a delta mine over the dirty frontier
-//!   ([`rpm_core::delta`]) when the dataset's pattern store allows it, and
-//!   invalidates otherwise;
+//!   hot-params entry via a delta mine over the dirty frontier
+//!   ([`rpm_core::delta`]) when the dataset's pattern store allows it,
+//!   splicing the new body from the previous one's lines so only changed
+//!   patterns are rendered, and invalidates otherwise;
 //! * a **lock-free hit path**: each dataset publishes its head — content
-//!   fingerprint and transaction count — beside its lock, updated under
-//!   the write lock before an append is acknowledged. `mine` resolves its
-//!   cache key from the head and serves a hit without the dataset lock, so
-//!   a hot fetch never waits for an append. A miss, an `active` stab and a
-//!   mine at other parameters take the dataset's read lock;
+//!   fingerprint and transaction count — beside its lock. A write moves it
+//!   only once the cache holds the new version's hot entry (or the write
+//!   could not be patched), still under the dataset lock and before the
+//!   append is acknowledged, and retires the old version's entries after
+//!   releasing that lock. `mine` resolves its cache key from the head and
+//!   serves a hit without the dataset lock, so a hot fetch never waits for
+//!   an append: while one runs, it hits the version before. A miss, an
+//!   `active` stab and a mine at other parameters take the dataset's read
+//!   lock;
 //! * a **bounded worker pool**: an acceptor thread feeds a fixed-capacity
 //!   connection queue drained by `threads` workers; when the queue is full
 //!   the acceptor answers `503` immediately (backpressure, not pile-up);
@@ -84,6 +89,7 @@ pub use timeparse::parse_duration;
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -94,7 +100,7 @@ use rpm_core::growth::MineScratch;
 use rpm_core::params::{ResolvedParams, RpParams, Threshold};
 use rpm_core::pattern::RecurringPattern;
 use rpm_core::sync::{read_recover, write_recover};
-use rpm_core::{push_json_str, write_patterns_json};
+use rpm_core::{push_json_str, splice_patterns_json, write_patterns_json};
 use rpm_timeseries::Timestamp;
 
 /// How the server binds and bounds itself.
@@ -689,8 +695,11 @@ fn handle_upload(shared: &Shared, name: &str, req: &Request) -> Response {
     };
     let transactions = db.len();
     let items = db.item_count();
-    match shared.registry.register(name, db, hot, replace) {
-        Ok(fingerprint) => {
+    match shared.registry.register_replacing(name, db, hot, replace) {
+        Ok((replaced, fingerprint)) => {
+            if let Some(replaced) = replaced {
+                retire(shared, replaced, fingerprint);
+            }
             let mut body = b"{\"name\":".to_vec();
             push_json_str(&mut body, name);
             body.extend_from_slice(
@@ -721,14 +730,15 @@ pub(crate) fn delta_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get()).min(4)
 }
 
-/// Refreshes the hot-params cache entry in place after a dataset change:
-/// when the pattern store can absorb the change as a dirty-frontier delta,
-/// re-mine incrementally and patch the entry from `old_fingerprint` to the
-/// dataset's current fingerprint. Returns whether the patch landed; the
-/// caller is responsible for invalidating the old fingerprint otherwise.
-/// Shared between the append handler and the replication follower so a
-/// replica's cache stays exactly as warm as the primary's.
-pub(crate) fn patch_hot_cache(shared: &Shared, ds: &Dataset, old_fingerprint: u64) -> bool {
+/// Refreshes the hot-params cache entry after a dataset change: when the
+/// pattern store can absorb the change as a dirty-frontier delta, re-mine
+/// incrementally and install the result as the patched successor of the
+/// entry the dataset's head names. Its body is spliced from that entry's
+/// body, so only the lines of changed patterns are rendered. Returns
+/// whether the patch landed. Shared between the append handler and the
+/// replication follower so a replica's cache stays exactly as warm as the
+/// primary's; both then call [`publish_and_retire`].
+pub(crate) fn patch_hot_cache(shared: &Shared, ds: &Dataset) -> bool {
     if !ds.delta_applicable() {
         return false;
     }
@@ -739,18 +749,39 @@ pub(crate) fn patch_hot_cache(shared: &Shared, ds: &Dataset, old_fingerprint: u6
     if abort.is_some() {
         return false;
     }
-    let mut body = Vec::new();
-    if write_patterns_json(&mut body, ds.db().items(), &result.patterns).is_err() {
-        return false;
-    }
-    shared.cache.patch(
-        old_fingerprint,
-        ds.fingerprint(),
-        ds.hot_params(),
-        Arc::new(CachedResult::new(body, result.patterns)),
+    let hot = ds.hot_params();
+    let served = ds.published().fingerprint;
+    let previous = shared.cache.peek(served, hot);
+    let (body, line_ends) = splice_patterns_json(
+        ds.db().items(),
+        &result.patterns,
+        previous.as_deref().map(CachedResult::lines),
     );
+    let entry = CachedResult::with_line_ends(body, line_ends, result.patterns);
+    shared.cache.patch(served, ds.fingerprint(), hot, Arc::new(entry));
     ServerMetrics::bump(&shared.metrics.appends_patched);
     true
+}
+
+/// Moves the dataset's head to its current content, then releases the
+/// dataset's lock and retires the cached results of the version the head
+/// named before. Write paths call it once the cache holds the new
+/// version's hot entry (or the change could not be patched), so until
+/// then a lock-free hot fetch is a hit on the previous version.
+pub(crate) fn publish_and_retire<D: Deref<Target = Dataset>>(shared: &Shared, ds: D) {
+    let previous = ds.publish_head().fingerprint;
+    let current = ds.fingerprint();
+    drop(ds);
+    retire(shared, previous, current);
+}
+
+/// Drops the cached results of content `old` that content `current` has
+/// replaced — after an append or a replacing upload, outside every dataset
+/// lock. Equal fingerprints name equal content, whose results stay valid.
+fn retire(shared: &Shared, old: u64, current: u64) {
+    if old != current {
+        shared.cache.invalidate_fingerprint(old);
+    }
 }
 
 fn handle_append(shared: &Shared, name: &str, req: &Request) -> Response {
@@ -773,16 +804,11 @@ fn handle_append(shared: &Shared, name: &str, req: &Request) -> Response {
     // pattern store can absorb it as a dirty-frontier delta, refresh the
     // hot-params cache entry instead of dropping it — the next `/mine` at
     // the hot parameters is a cache hit, not a full re-mine.
-    let mut patched = false;
-    if outcome.is_ok() && fingerprint != old_fingerprint {
-        patched = patch_hot_cache(shared, &ds, old_fingerprint);
-    }
-    drop(ds);
+    let patched = outcome.is_ok() && fingerprint != old_fingerprint && patch_hot_cache(shared, &ds);
+    // The head moves with its result, before the append is acknowledged.
     // The old content is retired even when the append failed part-way:
     // whatever prefix landed already changed the fingerprint.
-    if !patched && fingerprint != old_fingerprint {
-        shared.cache.invalidate_fingerprint(old_fingerprint);
-    }
+    publish_and_retire(shared, ds);
     ServerMetrics::bump(&shared.metrics.appends);
     shared.metrics.appended_transactions.fetch_add(appended as u64, Ordering::Relaxed);
     match outcome {
@@ -911,7 +937,8 @@ fn lookup_or_mine(
     ServerMetrics::bump(&shared.metrics.mine_runs);
     // lint:allow(no-raw-clock-in-hot-path): per-request wall measurement for metrics, outside the recursion
     let started = Instant::now();
-    let (result, abort) = if resolved == ds.hot_params() {
+    let hot = resolved == ds.hot_params();
+    let (result, abort) = if hot {
         // The dataset's live scanners already hold the first-scan summaries
         // for exactly these parameters, and the pattern store may hold the
         // previous complete result plus its measure checkpoints: skip the
@@ -934,13 +961,15 @@ fn lookup_or_mine(
         (outcome.into_result(), abort)
     };
     shared.metrics.absorb_mine(started.elapsed(), &result.stats, abort);
-    let mut body = Vec::new();
-    if write_patterns_json(&mut body, ds.db().items(), &result.patterns).is_err() {
-        return Err(internal_error("serialising patterns failed"));
-    }
+    let (body, mut line_ends) = splice_patterns_json(ds.db().items(), &result.patterns, None);
     Ok(match abort {
         None => {
-            let entry = Arc::new(CachedResult::new(body, result.patterns));
+            // Only the hot entry is ever spliced from, so only it keeps
+            // where its lines end.
+            if !hot {
+                line_ends = Vec::new();
+            }
+            let entry = Arc::new(CachedResult::with_line_ends(body, line_ends, result.patterns));
             shared.cache.insert(fingerprint, resolved, entry.clone());
             Mined::Complete(entry, false)
         }

@@ -15,11 +15,18 @@
 //! process left off.
 //!
 //! Beside its lock, each dataset publishes its [`Head`] — the fingerprint
-//! and length of its committed content — in a small lock of its own. The
-//! head is set when the dataset is created or recovered and updated, under
-//! the dataset's write lock, wherever the fingerprint changes, so an
-//! append is visible there before it is acknowledged. A cache-hit `mine`
-//! reads the head instead of the dataset and so never waits for an append.
+//! and length of the content its readers are served — in a small lock of
+//! its own. The head is set when the dataset is created or recovered. A
+//! write path does not move it: the append handler and the replication
+//! follower call [`Dataset::publish_head`] once the result cache holds the
+//! new version's hot entry, while they still hold the dataset's lock, so
+//! an append is visible there before it is acknowledged. A cache-hit
+//! `mine` reads the head instead of the dataset, so it never waits for an
+//! append: until the head moves it hits the version before.
+//!
+//! The fingerprint itself is kept running by the miner
+//! ([`IncrementalMiner::fingerprint`]), so reading it after an append is
+//! O(1) rather than a pass over the whole database.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -34,8 +41,8 @@ use rpm_timeseries::{from_bytes, io, SnapshotHeader, Timestamp, TransactionDb};
 use crate::persist::{DatasetLog, Persistence, WalRecord};
 use crate::replica::primary::{Event, ReplHub};
 
-/// What a dataset has committed: the content fingerprint that keys its
-/// cached results, and the transaction count a percentage `min-ps`
+/// What a dataset serves its readers: the content fingerprint that keys
+/// its cached results, and the transaction count a percentage `min-ps`
 /// resolves against.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Head {
@@ -43,13 +50,12 @@ pub(crate) struct Head {
     pub transactions: usize,
 }
 
-/// A registered dataset: the live miner plus its cached content fingerprint.
+/// A registered dataset: the live miner plus its published head.
 #[derive(Debug)]
 pub struct Dataset {
     miner: IncrementalMiner,
-    fingerprint: u64,
-    /// The published copy of `(fingerprint, length)`, shared with the
-    /// registry so readers can take it without the dataset lock.
+    /// The published `(fingerprint, length)`, shared with the registry so
+    /// readers can take it without the dataset lock.
     head: Arc<Mutex<Head>>,
     appends: u64,
     /// The last complete hot-params mining result, reused by
@@ -68,11 +74,9 @@ pub struct Dataset {
 
 impl Dataset {
     fn new(miner: IncrementalMiner, log: Option<DatasetLog>) -> Self {
-        let fingerprint = miner.fingerprint();
-        let head = Head { fingerprint, transactions: miner.len() };
+        let head = Head { fingerprint: miner.fingerprint(), transactions: miner.len() };
         Self {
             miner,
-            fingerprint,
             head: Arc::new(Mutex::new(head)),
             appends: 0,
             store: Mutex::new(PatternStore::new()),
@@ -121,19 +125,24 @@ impl Dataset {
         &self.miner
     }
 
-    /// The content fingerprint of the current state (cached; recomputed on
-    /// append).
+    /// The content fingerprint of the current state, O(1). It can be ahead
+    /// of the published head while a write is in progress.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.miner.fingerprint()
     }
 
-    /// Recomputes the fingerprint after the miner changed and publishes
-    /// the new head. Callers hold the write lock, so the head moves in the
-    /// same critical section as the content it names.
-    fn refresh_head(&mut self) {
-        self.fingerprint = self.miner.fingerprint();
-        *lock_recover(&self.head) =
-            Head { fingerprint: self.fingerprint, transactions: self.miner.len() };
+    /// The head readers are served from.
+    pub(crate) fn published(&self) -> Head {
+        *lock_recover(&self.head)
+    }
+
+    /// Moves the head to the current content and returns the head it
+    /// replaces. Callers hold the dataset's lock (a write path's read or
+    /// write guard), so heads are published in the order the content
+    /// changed.
+    pub(crate) fn publish_head(&self) -> Head {
+        let head = Head { fingerprint: self.fingerprint(), transactions: self.miner.len() };
+        std::mem::replace(&mut *lock_recover(&self.head), head)
     }
 
     /// The hot parameters the incremental scanners are maintained for.
@@ -161,7 +170,7 @@ impl Dataset {
         hub.publish(Event {
             name: log.name().to_string(),
             seq: record.seq(),
-            fp: self.fingerprint,
+            fp: self.fingerprint(),
             payload: crate::persist::wal::encode_payload(record),
         });
     }
@@ -171,19 +180,20 @@ impl Dataset {
     /// promotion continue the journal without gaps), then mutate through
     /// the same semantics recovery replay uses. Records at or below the
     /// current cursor are skipped, making replay idempotent across
-    /// catch-up/live overlap and reconnects.
+    /// catch-up/live overlap and reconnects. The head does not move here:
+    /// the follower publishes it once the cache is refreshed.
     pub(crate) fn apply_shipped(&mut self, record: &WalRecord) -> Result<ApplyOutcome, String> {
         let Some(current) = self.last_seq() else {
             return Err("shipped records require a durable dataset".to_string());
         };
         let register = matches!(record, WalRecord::Register { .. });
-        let old_fingerprint = self.fingerprint;
+        let old_fingerprint = self.fingerprint();
         if record.seq() <= current {
             return Ok(ApplyOutcome {
                 applied: false,
                 register,
                 old_fingerprint,
-                fingerprint: self.fingerprint,
+                fingerprint: old_fingerprint,
             });
         }
         if let Some(log) = self.log.as_mut() {
@@ -209,7 +219,6 @@ impl Dataset {
                 self.appends += 1;
             }
         }
-        self.refresh_head();
         let hot = self.miner.params();
         let appends = self.appends;
         if let Some(log) = self.log.as_mut() {
@@ -218,7 +227,12 @@ impl Dataset {
         // Cascade: a replica that is itself a primary re-publishes the
         // record to its own followers.
         self.publish(record);
-        Ok(ApplyOutcome { applied: true, register, old_fingerprint, fingerprint: self.fingerprint })
+        Ok(ApplyOutcome {
+            applied: true,
+            register,
+            old_fingerprint,
+            fingerprint: self.fingerprint(),
+        })
     }
 
     /// Whether [`Dataset::mine_hot_delta`] would take the incremental path
@@ -253,10 +267,11 @@ impl Dataset {
     }
 
     /// Appends parsed `(ts, labels)` transactions in order, journalling
-    /// the request to the WAL **before** touching the miner. On success
-    /// the fingerprint is refreshed; on a time regression nothing before
-    /// the offending transaction is rolled back (recovery replays the
-    /// identical prefix), so the fingerprint is refreshed either way.
+    /// the request to the WAL **before** touching the miner. On a time
+    /// regression nothing before the offending transaction is rolled back
+    /// (recovery replays the identical prefix), so the fingerprint moves
+    /// either way. The head does not: the append handler publishes it
+    /// once its readers' results are ready.
     pub fn append_lines(&mut self, rows: &[(Timestamp, Vec<String>)]) -> Result<(), AppendError> {
         if let Some(log) = self.log.as_mut() {
             log.log_append(rows).map_err(AppendError::Wal)?;
@@ -268,7 +283,6 @@ impl Dataset {
             }
             Ok(())
         })();
-        self.refresh_head();
         self.appends += 1;
         let hot = self.miner.params();
         let appends = self.appends;
@@ -466,7 +480,8 @@ impl Registry {
     /// it into a fresh incremental miner. An existing name is an error
     /// unless `replace` is set, in which case the new content supersedes
     /// the old dataset — journalled as a register record continuing the old
-    /// log's sequence, so the swap itself is crash-safe.
+    /// log's sequence, so the swap itself is crash-safe. Returns the new
+    /// content's fingerprint.
     pub fn register(
         &self,
         name: &str,
@@ -474,6 +489,20 @@ impl Registry {
         hot_params: ResolvedParams,
         replace: bool,
     ) -> Result<u64, RegisterError> {
+        self.register_replacing(name, db, hot_params, replace).map(|(_, fingerprint)| fingerprint)
+    }
+
+    /// [`Registry::register`], also reporting the fingerprint the replaced
+    /// dataset's head named, if any. It is read under the map's write lock,
+    /// at the swap, so the upload handler retires exactly the cached
+    /// results no head names any more. Returns `(replaced, new)`.
+    pub(crate) fn register_replacing(
+        &self,
+        name: &str,
+        db: TransactionDb,
+        hot_params: ResolvedParams,
+        replace: bool,
+    ) -> Result<(Option<u64>, u64), RegisterError> {
         let miner = replay_into_miner(&db, hot_params).map_err(RegisterError::Invalid)?;
         let mut map = write_recover(&self.datasets);
         // lint:allow(lock-order): `map.get` is HashMap::get on the guarded map itself, which the name-based resolver confuses with Registry::get — the map lock is not re-acquired
@@ -514,8 +543,8 @@ impl Registry {
                 });
             }
         }
-        map.insert(name.to_string(), Entry::new(dataset));
-        Ok(fingerprint)
+        let replaced = map.insert(name.to_string(), Entry::new(dataset));
+        Ok((replaced.map(|old| lock_recover(&old.head).fingerprint), fingerprint))
     }
 
     /// Installs the replication hub on the registry and every dataset
@@ -556,7 +585,7 @@ impl Registry {
         dataset.hub = self.hub.clone();
         let fingerprint = dataset.fingerprint();
         let previous = write_recover(&self.datasets).insert(name.to_string(), Entry::new(dataset));
-        let old_fingerprint = previous.map(|old| read_recover(&old.dataset).fingerprint());
+        let old_fingerprint = previous.map(|old| lock_recover(&old.head).fingerprint);
         Ok((old_fingerprint, fingerprint))
     }
 

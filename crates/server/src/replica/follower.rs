@@ -118,8 +118,8 @@ fn run_session(shared: &Arc<Shared>, repl: &ReplState, primary: &str) -> Session
                     return SessionEnd::Dropped;
                 };
                 ReplMetrics::bump(&repl.metrics.snapshots_applied, 1);
-                if let Some(old_fp) = old_fp.filter(|old| *old != fp) {
-                    shared.cache.invalidate_fingerprint(old_fp);
+                if let Some(old_fp) = old_fp {
+                    crate::retire(shared, old_fp, fp);
                 }
                 if !ack(&mut stream, &name, header.seq, fp) {
                     return SessionEnd::Dropped;
@@ -168,27 +168,25 @@ fn run_session(shared: &Arc<Shared>, repl: &ReplState, primary: &str) -> Session
 }
 
 /// Keeps the result cache warm across an applied record, mirroring the
-/// primary's append handler: patch the hot-params entry in place via a
-/// dirty-frontier delta mine when possible, invalidate otherwise. A
-/// register record is a full reset, so it always invalidates.
+/// primary's append handler: patch the hot-params entry via a
+/// dirty-frontier delta mine when possible, then publish the dataset's
+/// head and retire the version it named before. A register record is a
+/// full reset, so it is never patched.
 fn refresh_cache(shared: &Arc<Shared>, name: &str, outcome: &crate::ApplyOutcome) {
     if outcome.fingerprint == outcome.old_fingerprint {
         return;
     }
-    let mut patched = false;
-    if !outcome.register {
-        if let Some(dataset) = shared.registry.get(name) {
-            let ds = read_recover(&dataset);
-            // The client thread is the only writer on a fenced replica, so
-            // the fingerprint cannot move between apply and patch.
-            if ds.fingerprint() == outcome.fingerprint {
-                patched = crate::patch_hot_cache(shared, &ds, outcome.old_fingerprint);
-            }
-        }
+    let Some(dataset) = shared.registry.get(name) else {
+        return;
+    };
+    let ds = read_recover(&dataset);
+    // The client thread is the only writer on a fenced replica, so the
+    // fingerprint cannot move between apply and patch, and the read lock
+    // keeps a promoted writer out until the head is published.
+    if !outcome.register && ds.fingerprint() == outcome.fingerprint {
+        crate::patch_hot_cache(shared, &ds);
     }
-    if !patched {
-        shared.cache.invalidate_fingerprint(outcome.old_fingerprint);
-    }
+    crate::publish_and_retire(shared, ds);
 }
 
 fn ack(stream: &mut TcpStream, name: &str, seq: u64, fingerprint: u64) -> bool {

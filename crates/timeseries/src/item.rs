@@ -112,6 +112,11 @@ impl ItemTable {
         self.labels.is_empty()
     }
 
+    /// Iterates over the labels in id order, without copying them.
+    pub fn labels(&self) -> impl Iterator<Item = &str> + '_ {
+        self.labels.iter().map(String::as_str)
+    }
+
     /// Iterates over all items in id order.
     pub fn iter(&self) -> impl Iterator<Item = Item> + '_ {
         self.labels

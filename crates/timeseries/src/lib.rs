@@ -48,8 +48,9 @@ pub mod timestamp;
 pub mod transaction;
 
 pub use binio::{
-    fingerprint, fnv1a, from_bytes, load_binary, save_binary, snapshot_from_bytes,
-    snapshot_to_bytes, to_bytes, SnapshotHeader, FNV1A_OFFSET, SNAPSHOT_VERSION,
+    chain_label, chain_transaction, fingerprint, fnv1a, from_bytes, join_fingerprint, load_binary,
+    save_binary, snapshot_from_bytes, snapshot_to_bytes, to_bytes, SnapshotHeader, FNV1A_OFFSET,
+    SNAPSHOT_VERSION,
 };
 pub use convert::{db_to_events, events_to_db, rebin};
 pub use database::{running_example_db, DbBuilder, TransactionDb};

@@ -12,7 +12,9 @@ use std::time::Duration;
 use recurring_patterns::core::{
     write_patterns_json, PatternIndex, RecurringPattern, RpGrowth, RpParams,
 };
+use recurring_patterns::prelude::{generate_clickstream, ShopConfig};
 use recurring_patterns::server::{decode_dataset_body, Server, ServerConfig, ServerHandle};
+use recurring_patterns::timeseries::io::write_timestamped;
 use recurring_patterns::timeseries::TransactionDb;
 
 /// A parsed response; `complete` asserts the body matched `Content-Length`,
@@ -377,6 +379,108 @@ fn hot_fetches_never_wait_for_the_dataset_lock() {
     // The cache counts each fetch's lookup once, hit path or locked path.
     let metrics = request(addr, "GET", "/v1/metrics", "");
     assert_eq!(metrics.counter("hits") + metrics.counter("misses"), fetches, "{}", metrics.body);
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn a_hot_fetch_hits_the_previous_version_until_the_append_publishes() {
+    let handle = bind(4, 16);
+    let addr = handle.addr();
+    let mut text = running_example_text();
+    for ts in [20, 26, 32, 38, 44, 50, 56, 62] {
+        text.push_str(&format!("{ts}\tpad\n"));
+    }
+    let up = request(addr, "POST", "/v1/datasets/shop?per=2&min-ps=3&min-rec=2", &text);
+    assert_eq!(up.status, 201, "{}", up.body);
+    let hot = "/v1/datasets/shop/mine?per=2&min-ps=3&min-rec=2";
+    let warm = request(addr, "POST", hot, "");
+    assert_eq!(warm.header("x-rpm-cache"), "miss");
+
+    // The test thread is the writer: holding the dataset's write lock, it
+    // appends in process, as the append handler does before its delta mine
+    // and patch. A hot fetch meanwhile is a hit on the version before,
+    // without waiting for the lock.
+    let dataset = handle.registry().get("shop").expect("registered");
+    let mut guard = dataset.write().unwrap();
+    let in_process = "70\tz\n71\tz\n72\tz\n";
+    let rows: Vec<(i64, Vec<String>)> =
+        [70, 71, 72].into_iter().map(|ts| (ts, vec!["z".to_string()])).collect();
+    guard.append_lines(&rows).expect("ordered rows");
+    let during = in_background(addr, "POST", hot, "")
+        .recv_timeout(Duration::from_secs(20))
+        .expect("a hot fetch never waits for an append in progress");
+    assert_eq!(during.header("x-rpm-cache"), "hit");
+    assert_eq!(during.body, warm.body, "the version the head names, not the append's");
+    drop(guard);
+
+    // An HTTP append delta-mines both batches, splices its body from the
+    // entry the head still names, and only then moves the head.
+    let lines = "76\tz\n77\tz\n78\tz\n";
+    let append = request(addr, "POST", "/v1/datasets/shop/append", lines);
+    assert_eq!(append.status, 200, "{}", append.body);
+    assert!(append.body.contains("\"patched\":true"), "{}", append.body);
+    text.push_str(in_process);
+    text.push_str(lines);
+    let after = request(addr, "POST", hot, "");
+    assert_eq!(after.header("x-rpm-cache"), "hit");
+    assert_eq!(after.body, batch_export(&text), "the in-process rows are in the patched body");
+
+    // The superseded entry was retired, as a patch and not an invalidation.
+    let metrics = request(addr, "GET", "/v1/metrics", "");
+    assert_eq!(metrics.counter("entries"), 1, "{}", metrics.body);
+    assert_eq!(metrics.counter("patches"), 1, "{}", metrics.body);
+    assert_eq!(metrics.counter("invalidations"), 0, "{}", metrics.body);
+    handle.shutdown();
+    handle.join();
+}
+
+/// The Shop simulation in the text upload format.
+fn shop_text(seed: u64) -> String {
+    let config = ShopConfig { scale: 0.02, seed, ..ShopConfig::default() };
+    let mut out = Vec::new();
+    write_timestamped(&generate_clickstream(&config).db, &mut out).unwrap();
+    String::from_utf8(out).unwrap()
+}
+
+#[test]
+fn a_replacing_upload_retires_the_replaced_contents_entries() {
+    let handle = bind(2, 16);
+    let addr = handle.addr();
+    let upload = |text: &str, replace: bool| {
+        let target = format!("/v1/datasets/shop?per=360&min-ps=10&min-rec=1&replace={replace}");
+        let up = request(addr, "POST", &target, text);
+        assert_eq!(up.status, 201, "{}", up.body);
+    };
+    let mine_both = || -> Vec<String> {
+        ["per=360&min-ps=10&min-rec=1", "per=720&min-ps=5&min-rec=1"]
+            .iter()
+            .map(|q| {
+                let got = request(addr, "POST", &format!("/v1/datasets/shop/mine?{q}"), "");
+                assert_eq!(got.status, 200, "{}", got.body);
+                got.header("x-rpm-cache").to_string()
+            })
+            .collect()
+    };
+    let cache = || {
+        let metrics = request(addr, "GET", "/v1/metrics", "");
+        (metrics.counter("entries"), metrics.counter("invalidations"))
+    };
+    let original = shop_text(7);
+    upload(&original, false);
+    assert_eq!(mine_both(), ["miss", "miss"]);
+    let (entries, invalidations) = cache();
+    assert_eq!(entries, 2);
+
+    // Identical content names the same fingerprint: both entries stay.
+    upload(&original, true);
+    assert_eq!(cache(), (2, invalidations));
+    assert_eq!(mine_both(), ["hit", "hit"]);
+
+    // Different content retires both; the next mine is a miss.
+    upload(&shop_text(8), true);
+    assert_eq!(cache(), (0, invalidations + 2));
+    assert_eq!(mine_both()[0], "miss");
     handle.shutdown();
     handle.join();
 }
