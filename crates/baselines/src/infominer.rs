@@ -20,7 +20,7 @@
 //! cells joined at the current hit count, zero penalties) stays below the
 //! threshold.
 
-use rpm_timeseries::TransactionDb;
+use rpm_timeseries::{intersect_sorted, TransactionDb};
 
 use crate::partial_periodic::{Cell, SegmentParams, SegmentPattern};
 
@@ -161,7 +161,7 @@ pub fn mine_infominer(db: &TransactionDb, params: &InfoParams) -> (Vec<InfoPatte
             let joined: Vec<u32> = if stack.is_empty() {
                 universe[next].hits.clone()
             } else {
-                intersect_u32(hits, &universe[next].hits)
+                intersect_sorted(hits, &universe[next].hits)
             };
             if joined.is_empty() {
                 continue;
@@ -184,23 +184,6 @@ pub fn mine_infominer(db: &TransactionDb, params: &InfoParams) -> (Vec<InfoPatte
 
     out.sort_by(|a, b| b.gain.total_cmp(&a.gain).then_with(|| a.cells.cmp(&b.cells)));
     (out, n_segments)
-}
-
-fn intersect_u32(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
 }
 
 /// Convenience: converts an [`InfoPattern`] to the plain segment-pattern

@@ -20,7 +20,7 @@
 //! *local periodic density*; the workspace tests show both find the rare
 //! planted patterns that a single global threshold misses.
 
-use rpm_timeseries::{ItemId, Timestamp, TransactionDb};
+use rpm_timeseries::{intersect_sorted, ItemId, Timestamp, TransactionDb};
 
 /// Parameters of MIS mining.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,7 +100,7 @@ pub fn mine_mis(db: &TransactionDb, params: &MisParams) -> Vec<MisPattern> {
         });
         for next in from..order.len() {
             let (_, item, _) = order[next];
-            let joined = intersect(ts, &item_ts[item.index()]);
+            let joined = intersect_sorted(ts, &item_ts[item.index()]);
             if joined.len() < anchor_mis {
                 continue;
             }
@@ -116,23 +116,6 @@ pub fn mine_mis(db: &TransactionDb, params: &MisParams) -> Vec<MisPattern> {
         stack.pop();
     }
     out.sort_by(|a, b| a.items.len().cmp(&b.items.len()).then_with(|| a.items.cmp(&b.items)));
-    out
-}
-
-fn intersect(a: &[Timestamp], b: &[Timestamp]) -> Vec<Timestamp> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
     out
 }
 

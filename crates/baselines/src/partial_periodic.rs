@@ -12,7 +12,7 @@
 
 use rpm_core::engine::{AbortReason, RunControl};
 use rpm_core::Threshold;
-use rpm_timeseries::{ItemId, Timestamp, TransactionDb};
+use rpm_timeseries::{intersect_sorted, ItemId, Timestamp, TransactionDb};
 
 /// Parameters of segment-wise mining.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,7 +144,7 @@ pub fn mine_segments_controlled(
                 }
                 let mut cells = a_cells.clone();
                 cells.push(b_cells[k - 1]);
-                let hits = intersect_u32(a_hits, b_hits);
+                let hits = intersect_sorted(a_hits, b_hits);
                 if hits.len() >= min_sup {
                     out.push(SegmentPattern { cells: cells.clone(), hits: hits.len() });
                     next.push((cells, hits));
@@ -157,23 +157,6 @@ pub fn mine_segments_controlled(
     out.sort_by(|a, b| a.cells.len().cmp(&b.cells.len()).then_with(|| a.cells.cmp(&b.cells)));
     let reason = if aborted { probe.tripped() } else { None };
     (out, n_segments, reason)
-}
-
-fn intersect_u32(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! against periodic-first. Implemented for completeness and used by the
 //! baseline benches to demonstrate the gap.
 
-use rpm_timeseries::{ItemId, Timestamp, TransactionDb};
+use rpm_timeseries::{intersect_sorted, ItemId, Timestamp, TransactionDb};
 
 use super::model::{instances, periodic_support, PPattern, PPatternParams};
 use super::periodic_first::PPatternStats;
@@ -57,7 +57,7 @@ pub fn mine_association_first(
                 let mut items = a_items.clone();
                 items.push(b_items[k - 1]);
                 let ts = if params.window == 1 {
-                    intersect(a_ts, b_ts)
+                    intersect_sorted(a_ts, b_ts)
                 } else {
                     instances(db, &items, params.window)
                 };
@@ -102,23 +102,6 @@ fn hit_limit(out: &[PPattern], limit: Option<usize>, stats: &mut PPatternStats) 
     } else {
         false
     }
-}
-
-fn intersect(a: &[Timestamp], b: &[Timestamp]) -> Vec<Timestamp> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! "relatively faster than the association-first algorithm".
 
 use rpm_core::engine::{AbortReason, RunControl};
-use rpm_timeseries::{ItemId, Timestamp, TransactionDb};
+use rpm_timeseries::{intersect_sorted, ItemId, Timestamp, TransactionDb};
 
 use super::model::{instances, periodic_support, PPattern, PPatternParams};
 
@@ -98,7 +98,7 @@ pub fn mine_periodic_first_controlled(
                 let mut items = a_items.clone();
                 items.push(b_items[k - 1]);
                 let ts = if params.window == 1 {
-                    intersect(a_ts, b_ts)
+                    intersect_sorted(a_ts, b_ts)
                 } else {
                     instances(db, &items, params.window)
                 };
@@ -135,23 +135,6 @@ pub fn mine_periodic_first_controlled(
 
 fn hit_limit(out: &[PPattern], limit: Option<usize>) -> bool {
     limit.is_some_and(|l| out.len() >= l)
-}
-
-fn intersect(a: &[Timestamp], b: &[Timestamp]) -> Vec<Timestamp> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 use std::time::Instant;
 
 use rpm_bench::datasets::{load, Dataset};
-use rpm_bench::HarnessArgs;
+use rpm_bench::{available_cores, median, HarnessArgs};
 use rpm_core::{MiningResult, MiningSession, RpParams, Threshold};
 
 struct Run {
@@ -30,16 +30,6 @@ struct Run {
     wall_ms: Vec<f64>,
     patterns: usize,
     tree_nodes: usize,
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    let n = samples.len();
-    if n % 2 == 1 {
-        samples[n / 2]
-    } else {
-        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
-    }
 }
 
 fn main() {
@@ -61,7 +51,7 @@ fn main() {
     // Multi-thread "speedups" measured with more workers than cores are
     // scheduling noise, not parallel scaling — record the machine so the
     // report is honest about which numbers are trustworthy.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = available_cores();
     println!(
         "# hotpath — Twitter sim scale={scale}, |TDB|={}, per=360 minPS=2% minRec=1, {cores} core(s) available",
         db.len()

@@ -13,10 +13,12 @@
 //!    same database, asserting bit-identical patterns every round and
 //!    recording append+mine throughput, the delta-vs-full wall split, and
 //!    the per-rep path taxonomy (`delta` / `unchanged` / `full:<reason>`),
-//!    and per rep how many examined sets resumed a cached scan state
-//!    (`checkpoint_hits`) and how many were measured without one
-//!    (`checkpoint_misses`: multi-item sets rebuilt from posting bitsets,
-//!    singletons first seen in the batch, every set of a full mine).
+//!    and per rep the delta mine's wall time (`delta_ms`, so a miss-heavy
+//!    rep shows beside the median), how many examined sets resumed a
+//!    cached scan state (`checkpoint_hits`) and how many were measured
+//!    without one (`checkpoint_misses`: multi-item sets rebuilt from
+//!    posting bitsets, singletons first seen in the batch, every set of a
+//!    full mine).
 //!
 //! ```text
 //! cargo run -p rpm-bench --release --bin incremental_mining -- \
@@ -30,25 +32,12 @@ use std::time::Instant;
 
 use rpm_bench::datasets::{load, Dataset};
 use rpm_bench::tables::secs;
-use rpm_bench::{HarnessArgs, Table};
+use rpm_bench::{available_cores, median, HarnessArgs, Table};
 use rpm_core::{
     DeltaMode, IncrementalMiner, MineScratch, MiningSession, PatternStore, ResolvedParams,
     RunControl,
 };
 use rpm_timeseries::TransactionDb;
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    let n = samples.len();
-    if n == 0 {
-        return 0.0;
-    }
-    if n % 2 == 1 {
-        samples[n / 2]
-    } else {
-        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
-    }
-}
 
 /// Replays `db.transactions()[range]` into the miner.
 fn feed(miner: &mut IncrementalMiner, db: &TransactionDb, from: usize, to: usize) {
@@ -71,7 +60,6 @@ struct BatchReport {
     checkpoint_hits: Vec<usize>,
     checkpoint_misses: Vec<usize>,
     tail_tx: Vec<usize>,
-    workers: Vec<usize>,
     modes: (usize, usize, usize), // (delta, unchanged, full-fallback)
     patterns: usize,
 }
@@ -136,11 +124,9 @@ fn main() {
     println!("\n(both miners verified to produce identical outputs at every step)");
 
     // ── Delta mining: append batches against a warm pattern store ──────
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Mirrors the serving append path: a small worker pool for the
-    // checkpoint-resumed frontier, capped so tiny frontiers stay cheap.
-    let delta_threads = cores.min(4);
-    println!("\n# Delta mining on the append path (reps={reps}, threads={delta_threads})\n");
+    // Like the serving append path, every mine runs on this thread.
+    let cores = available_cores();
+    println!("\n# Delta mining on the append path (reps={reps})\n");
     let control = RunControl::new();
     let mut scratch = MineScratch::new();
     let mut reports: Vec<BatchReport> = Vec::new();
@@ -186,7 +172,6 @@ fn main() {
             checkpoint_hits: Vec::new(),
             checkpoint_misses: Vec::new(),
             tail_tx: Vec::new(),
-            workers: Vec::new(),
             modes: (0, 0, 0),
             patterns: warm.patterns.len(),
         };
@@ -198,7 +183,7 @@ fn main() {
 
             let t1 = Instant::now();
             let (delta, abort, stats) =
-                miner.mine_delta_controlled(&mut store, &control, &mut scratch, delta_threads);
+                miner.mine_delta_controlled(&mut store, &control, &mut scratch, 1);
             assert!(abort.is_none(), "unlimited control never aborts");
             report.delta_ms.push(t1.elapsed().as_secs_f64() * 1e3);
 
@@ -218,7 +203,6 @@ fn main() {
             let examined = delta.stats.candidates_checked;
             report.checkpoint_misses.push(examined.saturating_sub(stats.checkpoint_hits));
             report.tail_tx.push(stats.tail_transactions);
-            report.workers.push(stats.parallel_workers);
             report.retained.push(stats.retained_patterns);
             report.remined.push(stats.remined_patterns);
             report.patterns = delta.patterns.len();
@@ -249,9 +233,7 @@ fn main() {
         "  \"params\": {{\"per\": 360, \"min_ps\": {}, \"min_rec\": 1}},\n  \"reps\": {reps},\n",
         params.min_ps
     ));
-    json.push_str(&format!(
-        "  \"available_cores\": {cores},\n  \"delta_threads\": {delta_threads},\n"
-    ));
+    json.push_str(&format!("  \"available_cores\": {cores},\n"));
     json.push_str("  \"batches\": [\n");
     for (i, r) in reports.iter().enumerate() {
         let delta_med = median(&mut r.delta_ms.clone());
@@ -260,14 +242,15 @@ fn main() {
         // Serving-path cost of absorbing one batch: ingest + delta mine.
         let tx_per_s = r.batch as f64 / ((append_med + delta_med) / 1e3).max(1e-9);
         let paths = r.paths.iter().map(|p| format!("\"{p}\"")).collect::<Vec<_>>().join(", ");
+        let delta_ms =
+            r.delta_ms.iter().map(|ms| format!("{ms:.3}")).collect::<Vec<_>>().join(", ");
         json.push_str(&format!(
             "    {{\"append_batch\": {}, \"warm_full_ms\": {:.3}, \"append_ms_median\": {:.3}, \
              \"delta_ms_median\": {:.3}, \"full_ms_median\": {:.3}, \
              \"speedup_delta_vs_full\": {:.3}, \"append_mine_tx_per_s\": {:.1}, \
              \"modes\": {{\"delta\": {}, \"unchanged\": {}, \"full\": {}}}, \
-             \"paths\": [{}], \"checkpoint_hits\": {:?}, \"checkpoint_misses\": {:?}, \
-             \"tail_tx\": {:?}, \
-             \"parallel_workers\": {:?}, \
+             \"paths\": [{}], \"delta_ms\": [{}], \"checkpoint_hits\": {:?}, \
+             \"checkpoint_misses\": {:?}, \"tail_tx\": {:?}, \
              \"retained_patterns\": {:?}, \"remined_patterns\": {:?}, \"patterns\": {}}}{}\n",
             r.batch,
             r.warm_full_ms,
@@ -280,10 +263,10 @@ fn main() {
             r.modes.1,
             r.modes.2,
             paths,
+            delta_ms,
             r.checkpoint_hits,
             r.checkpoint_misses,
             r.tail_tx,
-            r.workers,
             r.retained,
             r.remined,
             r.patterns,

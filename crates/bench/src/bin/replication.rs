@@ -26,25 +26,12 @@ use std::sync::PoisonError;
 use std::time::{Duration, Instant};
 
 use rpm_bench::datasets::{load, Dataset};
-use rpm_bench::HarnessArgs;
+use rpm_bench::{available_cores, median, HarnessArgs};
 use rpm_core::ResolvedParams;
 use rpm_server::{FsyncPolicy, PersistConfig, Server, ServerConfig, ServerHandle};
 use rpm_timeseries::{Timestamp, TransactionDb};
 
 const NAME: &str = "twitter";
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    let n = samples.len();
-    if n == 0 {
-        return 0.0;
-    }
-    if n % 2 == 1 {
-        samples[n / 2]
-    } else {
-        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
-    }
-}
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
@@ -195,7 +182,7 @@ fn main() {
         lags_ms.len()
     );
 
-    let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
+    let cores = available_cores();
     let json = format!(
         "{{\n  \"dataset\": {{\"name\": \"twitter-sim\", \"scale\": {}, \"seed\": {}, \
          \"transactions\": {total}}},\n  \"machine\": {{\"cores\": {cores}, \"os\": \"{}\", \

@@ -9,6 +9,7 @@
 pub mod args;
 pub mod datasets;
 pub mod grid;
+pub mod measure;
 pub mod plot;
 pub mod report;
 pub mod tables;
@@ -16,6 +17,7 @@ pub mod tables;
 pub use args::HarnessArgs;
 pub use datasets::{load, Dataset};
 pub use grid::{run_cell, run_grid, run_sweep, GridCell};
+pub use measure::{available_cores, median};
 pub use plot::LineChart;
 pub use report::{build_report, write_report};
 pub use tables::Table;

@@ -24,10 +24,9 @@
 //! the AND reads `|X|·⌈n/64⌉` words for a stream of `n` transactions and
 //! the scan then feeds `|TS^X|` timestamps. The delta miner builds a
 //! frontier candidate's bitset at most once per call, on its first miss,
-//! shares it across the frontier workers and drops it when the call
-//! returns, so a bitset costs one pass over the item's postings and
-//! `n/8` bytes for the length of one delta mine (DESIGN.md §8 has the
-//! measured cost).
+//! and drops it when the call returns, so a bitset costs one pass over the
+//! item's postings and `n/8` bytes for the length of one delta mine
+//! (DESIGN.md §8 has the measured cost).
 
 use rpm_timeseries::{ItemId, Timestamp, TransactionDb};
 

@@ -14,7 +14,7 @@
 //! `minDur` with all gaps `≤ per` must contain at least `⌊minDur/per⌋ + 1`
 //! timestamps, intervals are disjoint, and support is anti-monotone.
 
-use rpm_timeseries::{ItemId, Timestamp, TransactionDb};
+use rpm_timeseries::{intersect_sorted, ItemId, Timestamp, TransactionDb};
 
 use crate::measures::periodic_intervals;
 use crate::naive::AprioriStats;
@@ -101,7 +101,7 @@ pub fn mine_durations(
                 }
                 let mut items = a_items.clone();
                 items.push(b_items[k - 1]);
-                let ts = intersect(a_ts, b_ts);
+                let ts = intersect_sorted(a_ts, b_ts);
                 if ts.is_empty() {
                     continue;
                 }
@@ -123,23 +123,6 @@ pub fn mine_durations(
     canonical_order(&mut out);
     stats.patterns_found = out.len();
     (out, stats)
-}
-
-fn intersect(a: &[Timestamp], b: &[Timestamp]) -> Vec<Timestamp> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

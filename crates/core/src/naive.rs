@@ -33,7 +33,9 @@ impl AprioriStats {
     }
 }
 
-/// Intersects two sorted timestamp lists.
+/// Intersects two sorted timestamp lists. The oracle keeps its own copy of
+/// `rpm_timeseries::intersect_sorted`, so it shares no code with the miners
+/// it checks.
 fn intersect(a: &[Timestamp], b: &[Timestamp]) -> Vec<Timestamp> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
     let (mut i, mut j) = (0, 0);

@@ -24,7 +24,9 @@
 //! hot path stays allocation-free per worker.
 //!
 //! Both helpers are stages of the one pipeline, `growth::mine_list`, which
-//! runs them whenever a miner is given more than one thread. The output —
+//! runs them whenever a miner is given more than one thread — the delta
+//! miner's full fallback included. Its frontier walk over an append's tail
+//! uses neither: it runs on the calling thread (`crate::delta`). The output —
 //! patterns **and** the algorithmic counters of [`MiningStats`] (see
 //! [`MiningStats::normalized`]) — is exactly the sequential recursion's,
 //! asserted across thread counts by `tests/parallel_equivalence.rs`; only
@@ -45,18 +47,17 @@ use crate::pattern::RecurringPattern;
 use crate::rplist::RpList;
 use crate::tree::{TsTree, ROOT};
 
-/// First-win slot for the abort reason of a parallel run: whichever worker
-/// trips a limit first records why; siblings observing the shared halt flag
-/// keep their (derived) reasons to themselves. Shared with the delta
-/// miner's parallel frontier re-growth (`crate::delta`).
-pub(crate) struct AbortCell(AtomicU8);
+/// First-win slot for the abort reason of [`grow_regions`]: whichever
+/// worker trips a limit first records why; siblings observing the shared
+/// halt flag keep their (derived) reasons to themselves.
+struct AbortCell(AtomicU8);
 
 impl AbortCell {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         AbortCell(AtomicU8::new(0))
     }
 
-    pub(crate) fn record(&self, reason: AbortReason) {
+    fn record(&self, reason: AbortReason) {
         let code = match reason {
             AbortReason::Cancelled => 1,
             AbortReason::DeadlineExceeded => 2,
@@ -65,7 +66,7 @@ impl AbortCell {
         let _ = self.0.compare_exchange(0, code, Ordering::Relaxed, Ordering::Relaxed);
     }
 
-    pub(crate) fn get(&self) -> Option<AbortReason> {
+    fn get(&self) -> Option<AbortReason> {
         match self.0.load(Ordering::Relaxed) {
             1 => Some(AbortReason::Cancelled),
             2 => Some(AbortReason::DeadlineExceeded),

@@ -62,6 +62,23 @@ impl fmt::Display for Threshold {
     }
 }
 
+/// The inverse of `Display`: `"25"` is an absolute count and `"2%"` a
+/// percentage of the database length. Range checks are left to
+/// [`RpParams::try_with_threshold`] and [`Threshold::try_resolve`].
+impl std::str::FromStr for Threshold {
+    type Err = String;
+
+    fn from_str(text: &str) -> Result<Self, String> {
+        if let Some(pct) = text.strip_suffix('%') {
+            let value: f64 = pct.parse().map_err(|e| format!("bad percentage {text:?}: {e}"))?;
+            Ok(Threshold::pct(value))
+        } else {
+            let value: usize = text.parse().map_err(|e| format!("bad count {text:?}: {e}"))?;
+            Ok(Threshold::Count(value))
+        }
+    }
+}
+
 /// The three user-defined constraints of the model (Definition 10):
 /// `per` (maximum periodic inter-arrival time), `minPS` (minimum
 /// periodic-support of an interesting interval) and `minRec` (minimum number
@@ -226,6 +243,20 @@ impl ResolvedParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn thresholds_parse_what_they_display() {
+        for t in [Threshold::Count(25), Threshold::pct(2.0), Threshold::pct(0.1)] {
+            assert_eq!(t.to_string().parse::<Threshold>(), Ok(t), "{t}");
+        }
+        assert_eq!(
+            ["25", "2%", "0.1%"].map(|s| s.parse::<Threshold>().unwrap().to_string()),
+            ["25", "2%", "0.1%"]
+        );
+        for bad in ["%", "x%", "-1"] {
+            assert!(bad.parse::<Threshold>().is_err(), "{bad:?}");
+        }
+    }
 
     #[test]
     fn absolute_thresholds_pass_through() {

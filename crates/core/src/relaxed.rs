@@ -21,7 +21,7 @@
 //! unabsorbable gaps stood, so a superset's relaxed recurrence is not
 //! bounded by the subset's relaxed `Erec`.
 
-use rpm_timeseries::{ItemId, Timestamp, TransactionDb};
+use rpm_timeseries::{intersect_sorted, ItemId, Timestamp, TransactionDb};
 
 use crate::naive::AprioriStats;
 use crate::params::ResolvedParams;
@@ -138,7 +138,7 @@ pub fn mine_relaxed(
                 }
                 let mut items = a_items.clone();
                 items.push(b_items[k - 1]);
-                let ts = intersect(a_ts, b_ts);
+                let ts = intersect_sorted(a_ts, b_ts);
                 if ts.is_empty() {
                     continue;
                 }
@@ -160,23 +160,6 @@ pub fn mine_relaxed(
     canonical_order(&mut out);
     stats.patterns_found = out.len();
     (out, stats)
-}
-
-fn intersect(a: &[Timestamp], b: &[Timestamp]) -> Vec<Timestamp> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -581,18 +581,6 @@ fn handle_promote(shared: &Shared, req: &Request) -> Response {
     }
 }
 
-/// Parses `"25"` as an absolute count and `"2%"` as a fraction of the
-/// database length — the same grammar as the CLI's `--min-ps`.
-fn parse_threshold(text: &str) -> Result<Threshold, String> {
-    if let Some(pct) = text.strip_suffix('%') {
-        let value: f64 = pct.parse().map_err(|e| format!("bad min-ps percentage {text:?}: {e}"))?;
-        Ok(Threshold::pct(value))
-    } else {
-        let value: usize = text.parse().map_err(|e| format!("bad min-ps count {text:?}: {e}"))?;
-        Ok(Threshold::Count(value))
-    }
-}
-
 fn require_param<'r>(req: &'r Request, key: &str) -> Result<&'r str, Response> {
     req.query_param(key).ok_or_else(|| bad_request(&format!("missing query parameter {key:?}")))
 }
@@ -607,7 +595,8 @@ where
 /// Resolves the per/min-ps/min-rec query triple against a database length.
 fn resolve_params(req: &Request, db_len: usize) -> Result<ResolvedParams, Response> {
     let per: Timestamp = parse_num(require_param(req, "per")?, "per")?;
-    let threshold = parse_threshold(require_param(req, "min-ps")?).map_err(|e| bad_request(&e))?;
+    let threshold: Threshold =
+        require_param(req, "min-ps")?.parse().map_err(|e| bad_request(&format!("min-ps: {e}")))?;
     let min_rec: usize = match req.query_param("min-rec") {
         Some(v) => parse_num(v, "min-rec")?,
         None => 1,
@@ -723,28 +712,23 @@ fn handle_upload(shared: &Shared, name: &str, req: &Request) -> Response {
     }
 }
 
-/// Worker count for append-driven delta mines: a modest slice of the
-/// machine, since the frontier is usually narrow and the append handler
-/// holds the dataset's write lock while patching.
-pub(crate) fn delta_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get()).min(4)
-}
-
 /// Refreshes the hot-params cache entry after a dataset change: when the
 /// pattern store can absorb the change as a dirty-frontier delta, re-mine
 /// incrementally and install the result as the patched successor of the
 /// entry the dataset's head names. Its body is spliced from that entry's
-/// body, so only the lines of changed patterns are rendered. Returns
-/// whether the patch landed. Shared between the append handler and the
-/// replication follower so a replica's cache stays exactly as warm as the
-/// primary's; both then call [`publish_and_retire`].
+/// body, so only the lines of changed patterns are rendered. The delta
+/// mine runs on this thread; its thread count of 1 would size only a full
+/// fallback, which `delta_applicable` has ruled out. Returns whether the
+/// patch landed. Shared between the append handler and the replication
+/// follower so a replica's cache stays exactly as warm as the primary's;
+/// both then call [`publish_and_retire`].
 pub(crate) fn patch_hot_cache(shared: &Shared, ds: &Dataset) -> bool {
     if !ds.delta_applicable() {
         return false;
     }
     let control = RunControl::new().with_cancel(shared.cancel.clone());
     let mut scratch = MineScratch::default();
-    let (result, abort, dstats) = ds.mine_hot_delta(&control, &mut scratch, delta_threads());
+    let (result, abort, dstats) = ds.mine_hot_delta(&control, &mut scratch, 1);
     shared.metrics.absorb_delta(&dstats);
     if abort.is_some() {
         return false;
@@ -942,8 +926,9 @@ fn lookup_or_mine(
         // The dataset's live scanners already hold the first-scan summaries
         // for exactly these parameters, and the pattern store may hold the
         // previous complete result plus its measure checkpoints: skip the
-        // scan, re-measure only the tail-dirtied candidates (on up to
-        // `threads` workers), and splice the clean patterns.
+        // scan, re-measure only the tail-dirtied candidates, and splice the
+        // clean patterns. `threads` sizes a cold or mismatched store's full
+        // mine; the frontier walk runs on this thread.
         ServerMetrics::bump(&shared.metrics.mine_fastpath);
         let (result, abort, dstats) =
             ds.mine_hot_delta(&control, &mut MineScratch::default(), threads);

@@ -54,9 +54,6 @@ pub struct ServerMetrics {
     /// singletons whose item occurs before the tail window, measured by the
     /// miner's live per-item state.
     pub delta_checkpoint_hits: AtomicU64,
-    /// High-water mark of worker threads a delta frontier re-measurement
-    /// ran on.
-    pub delta_parallel_workers: AtomicU64,
     /// Append requests absorbed.
     pub appends: AtomicU64,
     /// Appends that patched the hot cache entry in place via a delta mine
@@ -102,7 +99,6 @@ impl ServerMetrics {
             self.delta_remined.fetch_add(stats.remined_patterns as u64, Ordering::Relaxed);
             self.delta_tail_tx.fetch_add(stats.tail_transactions as u64, Ordering::Relaxed);
             self.delta_checkpoint_hits.fetch_add(stats.checkpoint_hits as u64, Ordering::Relaxed);
-            self.delta_parallel_workers.fetch_max(stats.parallel_workers as u64, Ordering::Relaxed);
         } else {
             Self::bump(&self.delta_full);
         }
@@ -131,7 +127,7 @@ impl ServerMetrics {
             ("appended_transactions", &get(&self.appended_transactions)),
             ("active_queries", &get(&self.active_queries)),
         ];
-        let mine: [Row; 14] = [
+        let mine: [Row; 13] = [
             ("runs", &get(&self.mine_runs)),
             ("complete", &get(&self.mine_complete)),
             ("partial", &get(&self.mine_partial)),
@@ -142,7 +138,6 @@ impl ServerMetrics {
             ("delta_remined", &get(&self.delta_remined)),
             ("delta_tail_tx", &get(&self.delta_tail_tx)),
             ("delta_checkpoint_hits", &get(&self.delta_checkpoint_hits)),
-            ("delta_parallel_workers", &get(&self.delta_parallel_workers)),
             ("wall_ms", &wall_ms),
             ("candidates_checked", &get(&self.candidates_checked)),
             ("patterns_found", &get(&self.patterns_found)),
@@ -253,7 +248,6 @@ mod tests {
             &m.delta_remined,
             &m.delta_tail_tx,
             &m.delta_checkpoint_hits,
-            &m.delta_parallel_workers,
             &m.appends,
             &m.appends_patched,
             &m.appended_transactions,
@@ -287,10 +281,10 @@ mod tests {
   "server_errors": 3,
   "rejected_backpressure": 4,
   "datasets": 9,
-  "appends": 16,
-  "appends_patched": 17,
-  "appended_transactions": 18,
-  "active_queries": 19,
+  "appends": 15,
+  "appends_patched": 16,
+  "appended_transactions": 17,
+  "active_queries": 18,
   "mine": {
     "runs": 5,
     "complete": 6,
@@ -302,10 +296,9 @@ mod tests {
     "delta_remined": 12,
     "delta_tail_tx": 13,
     "delta_checkpoint_hits": 14,
-    "delta_parallel_workers": 15,
     "wall_ms": 1234.567,
-    "candidates_checked": 21,
-    "patterns_found": 22
+    "candidates_checked": 20,
+    "patterns_found": 21
   },
   "cache": {
     "hits": 31,
@@ -317,11 +310,11 @@ mod tests {
     "bytes": 37
   },
   "persist": {
-    "wal_records": 23,
-    "wal_bytes": 24,
-    "snapshots": 25,
-    "recovered_datasets": 26,
-    "torn_tail_truncations": 27
+    "wal_records": 22,
+    "wal_bytes": 23,
+    "snapshots": 24,
+    "recovered_datasets": 25,
+    "torn_tail_truncations": 26
   }
 }"#;
         assert_eq!(json, golden);
@@ -354,7 +347,6 @@ mod tests {
             remined_patterns: 3,
             tail_transactions: 5,
             checkpoint_hits: 4,
-            parallel_workers: 3,
         };
         m.absorb_delta(&stats);
         stats.mode = DeltaMode::Full(FullReason::ColdStore);
@@ -366,7 +358,6 @@ mod tests {
         assert!(json.contains("\"delta_remined\": 3"));
         assert!(json.contains("\"delta_tail_tx\": 5"));
         assert!(json.contains("\"delta_checkpoint_hits\": 4"));
-        assert!(json.contains("\"delta_parallel_workers\": 3"));
     }
 
     #[test]

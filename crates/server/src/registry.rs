@@ -201,21 +201,14 @@ impl Dataset {
         }
         match record {
             WalRecord::Register { per, min_ps, min_rec, db, .. } => {
-                let hot = ResolvedParams::try_new(*per, *min_ps as usize, *min_rec as usize)
-                    .map_err(|e| e.to_string())?;
-                self.miner = replay_into_miner(db, hot)?;
+                self.miner = replay_journalled(db, *per, *min_ps, *min_rec)?;
                 self.appends = 0;
                 *lock_recover(&self.store) = PatternStore::new();
             }
             WalRecord::Append { rows, .. } => {
-                // Live-path prefix semantics: apply rows until the first
-                // time regression, exactly like recovery replay.
-                for (ts, labels) in rows {
-                    let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-                    if self.miner.append(*ts, &refs).is_err() {
-                        break;
-                    }
-                }
+                // A time regression stops the rows here as it did on the
+                // primary, which answered it.
+                let _ = apply_rows(&mut self.miner, rows);
                 self.appends += 1;
             }
         }
@@ -253,10 +246,10 @@ impl Dataset {
     /// only candidates dirtied since the last complete hot mine are
     /// re-measured (resuming their checkpointed scans over the appended
     /// tail), clean patterns are spliced from the store, and the output is
-    /// bit-identical to a batch mine. The frontier re-measurement runs on up
-    /// to `threads` work-stealing workers. The store refreshes on every
-    /// complete run (including full-mine fallbacks), so the first hot mine
-    /// warms it.
+    /// bit-identical to a batch mine. The frontier re-measurement runs on the
+    /// calling thread; `threads` sizes only a full-mine fallback. The store
+    /// refreshes on every complete run (including full-mine fallbacks), so
+    /// the first hot mine warms it.
     pub fn mine_hot_delta(
         &self,
         control: &RunControl,
@@ -276,13 +269,7 @@ impl Dataset {
         if let Some(log) = self.log.as_mut() {
             log.log_append(rows).map_err(AppendError::Wal)?;
         }
-        let outcome = (|| {
-            for (ts, labels) in rows {
-                let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-                self.miner.append(*ts, &refs)?;
-            }
-            Ok(())
-        })();
+        let outcome = apply_rows(&mut self.miner, rows);
         self.appends += 1;
         let hot = self.miner.params();
         let appends = self.appends;
@@ -420,6 +407,34 @@ fn replay_into_miner(
             .map_err(|e| format!("replay failed: {e}"))?;
     }
     Ok(miner)
+}
+
+/// [`replay_into_miner`] at hot parameters as a register record or a
+/// snapshot header journals them, validated on the way in.
+fn replay_journalled(
+    db: &TransactionDb,
+    per: Timestamp,
+    min_ps: u64,
+    min_rec: u64,
+) -> Result<IncrementalMiner, String> {
+    let hot = ResolvedParams::try_new(per, min_ps as usize, min_rec as usize)
+        .map_err(|e| e.to_string())?;
+    replay_into_miner(db, hot)
+}
+
+/// Applies an append's rows in order until the first time regression,
+/// which it returns. The live path, a follower and recovery all apply a
+/// journalled append through this one rule, so a partly applied request
+/// replays to the same prefix everywhere.
+fn apply_rows(
+    miner: &mut IncrementalMiner,
+    rows: &[(Timestamp, Vec<String>)],
+) -> Result<(), rpm_timeseries::Error> {
+    for (ts, labels) in rows {
+        let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
+        miner.append(*ts, &refs)?;
+    }
+    Ok(())
 }
 
 /// One registered dataset: its lock, and the head it publishes beside it.
@@ -575,10 +590,7 @@ impl Registry {
         let Some(persist) = self.persist.as_ref() else {
             return Err("replication requires a data directory".to_string());
         };
-        let hot =
-            ResolvedParams::try_new(header.per, header.min_ps as usize, header.min_rec as usize)
-                .map_err(|e| e.to_string())?;
-        let miner = replay_into_miner(db, hot)?;
+        let miner = replay_journalled(db, header.per, header.min_ps, header.min_rec)?;
         let log = DatasetLog::adopt_snapshot(persist, name, header, db)
             .map_err(|e| format!("adopting shipped snapshot: {e}"))?;
         let mut dataset = Dataset::recovered(miner, header.appends, log);
@@ -605,9 +617,7 @@ impl Registry {
         let WalRecord::Register { per, min_ps, min_rec, db, .. } = record else {
             return Err(format!("shipped append for unknown dataset {name:?}"));
         };
-        let hot = ResolvedParams::try_new(*per, *min_ps as usize, *min_rec as usize)
-            .map_err(|e| e.to_string())?;
-        let miner = replay_into_miner(db, hot)?;
+        let miner = replay_journalled(db, *per, *min_ps, *min_rec)?;
         let mut log = DatasetLog::fresh(persist, name).map_err(|e| e.to_string())?;
         log.log_shipped(record).map_err(|e| format!("journalling shipped register: {e}"))?;
         let mut dataset = Dataset::new(miner, Some(log));
@@ -659,13 +669,9 @@ fn recover_dataset(persist: &Arc<Persistence>, name: &str) -> std::io::Result<Op
     let mut snap_seq = 0u64;
     let mut state: Option<(IncrementalMiner, u64)> = None;
     if let Some((header, db)) = persist.load_snapshot(name) {
-        let hot =
-            ResolvedParams::try_new(header.per, header.min_ps as usize, header.min_rec as usize);
-        if let Ok(hot) = hot {
-            if let Ok(miner) = replay_into_miner(&db, hot) {
-                snap_seq = header.seq;
-                state = Some((miner, header.appends));
-            }
+        if let Ok(miner) = replay_journalled(&db, header.per, header.min_ps, header.min_rec) {
+            snap_seq = header.seq;
+            state = Some((miner, header.appends));
         }
         // An unusable snapshot falls through to WAL-only recovery with
         // snap_seq = 0, replaying the log from its first record.
@@ -680,23 +686,14 @@ fn recover_dataset(persist: &Arc<Persistence>, name: &str) -> std::io::Result<Op
             }
             match record {
                 WalRecord::Register { per, min_ps, min_rec, db, .. } => {
-                    let hot = ResolvedParams::try_new(per, min_ps as usize, min_rec as usize);
-                    if let Ok(hot) = hot {
-                        if let Ok(miner) = replay_into_miner(&db, hot) {
-                            state = Some((miner, 0));
-                        }
+                    if let Ok(miner) = replay_journalled(&db, per, min_ps, min_rec) {
+                        state = Some((miner, 0));
                     }
                 }
                 WalRecord::Append { rows, .. } => {
                     if let Some((miner, appends)) = state.as_mut() {
-                        // Identical semantics to the live path: apply rows
-                        // until the first time regression, then stop.
-                        for (ts, labels) in &rows {
-                            let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-                            if miner.append(*ts, &refs).is_err() {
-                                break;
-                            }
-                        }
+                        // The live path already answered a time regression.
+                        let _ = apply_rows(miner, &rows);
                         *appends += 1;
                     }
                 }

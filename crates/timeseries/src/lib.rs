@@ -60,7 +60,7 @@ pub use error::{Error, Result};
 pub use event::{Event, EventSequence, PointSequence};
 pub use item::{Item, ItemId, ItemTable};
 pub use prng::Pcg32;
-pub use select::{project_items, slice_time, split_at};
+pub use select::{intersect_sorted, project_items, slice_time, split_at};
 pub use stats::DbStats;
 pub use timestamp::Timestamp;
 pub use transaction::Transaction;

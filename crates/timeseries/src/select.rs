@@ -1,4 +1,5 @@
-//! Database selection utilities: time slicing and item projection.
+//! Database selection utilities: time slicing, item projection, and the
+//! sorted-list intersection that selects a pattern's occurrences.
 //!
 //! Downstream analyses constantly need "the same database, restricted" —
 //! a discovered periodic-interval re-examined in isolation, one season
@@ -63,6 +64,27 @@ pub fn split_at(db: &TransactionDb, at: Timestamp) -> (TransactionDb, Transactio
     (rebuild(&db.transactions()[..idx]), rebuild(&db.transactions()[idx..]))
 }
 
+/// The elements common to two ascending lists, ascending: the timestamps
+/// (or transaction ordinals) at which both of two itemsets occur. One merge
+/// pass, O(|a| + |b|). An element repeated in both lists is kept as often as
+/// the list with fewer copies holds it.
+pub fn intersect_sorted<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
+    let mut out = Vec::with_capacity(a.len().min(b.len()));
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,6 +129,17 @@ mod tests {
         let db = running_example_db();
         let proj = project_items(&db, &[ItemId(999)]);
         assert!(proj.is_empty());
+    }
+
+    #[test]
+    fn intersect_sorted_merges_ascending_lists() {
+        let empty: [u32; 0] = [];
+        assert!(intersect_sorted(&empty, &empty).is_empty());
+        assert!(intersect_sorted(&[1u32, 2], &empty).is_empty());
+        assert!(intersect_sorted(&[1u32, 3, 5], &[2, 4, 6]).is_empty(), "disjoint");
+        assert_eq!(intersect_sorted(&[1u32, 2, 2, 2, 7], &[2, 2, 7, 9]), [2, 2, 7], "duplicates");
+        let a: [Timestamp; 5] = [-4, 0, 3, 8, 9];
+        assert_eq!(intersect_sorted(&a, &[-4, 3, 9, 12]), [-4, 3, 9]);
     }
 
     #[test]

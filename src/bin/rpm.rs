@@ -152,17 +152,6 @@ impl Flags {
     }
 }
 
-/// Parses `"25"` as an absolute count and `"0.1%"` as a fraction.
-fn parse_threshold(text: &str) -> Result<Threshold, String> {
-    if let Some(pct) = text.strip_suffix('%') {
-        let value: f64 = pct.parse().map_err(|e| format!("bad percentage {text:?}: {e}"))?;
-        Ok(Threshold::pct(value))
-    } else {
-        let value: usize = text.parse().map_err(|e| format!("bad count {text:?}: {e}"))?;
-        Ok(Threshold::Count(value))
-    }
-}
-
 fn load_db(flags: &Flags) -> Result<TransactionDb, String> {
     let path = flags.positional.first().ok_or_else(|| "missing database path".to_string())?;
     load_db_path(path)
@@ -219,7 +208,7 @@ fn mine(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args)?;
     let db = load_db(&flags)?;
     let per: i64 = flags.require("per")?.parse().map_err(|e| format!("bad --per: {e}"))?;
-    let min_ps = parse_threshold(flags.require("min-ps")?)?;
+    let min_ps = flags.require("min-ps")?.parse::<Threshold>()?;
     let min_rec: usize = flags.parse_num("min-rec", 1)?;
     let params = RpParams::try_with_threshold(per, min_ps, min_rec).map_err(|e| e.to_string())?;
     let resolved = params.try_resolve(db.len()).map_err(|e| e.to_string())?;
@@ -334,7 +323,7 @@ fn spectrum(args: &[String]) -> Result<(), String> {
         return Err("--items needs at least one label".into());
     }
     let ids = db.pattern_ids(&labels).ok_or_else(|| format!("unknown item among {labels:?}"))?;
-    let min_ps = parse_threshold(flags.require("min-ps")?)?.resolve(db.len());
+    let min_ps = flags.require("min-ps")?.parse::<Threshold>()?.resolve(db.len());
     let ts = db.timestamps_of(&ids);
     if ts.is_empty() {
         return Err("pattern never occurs".into());
@@ -378,7 +367,7 @@ fn pf(args: &[String]) -> Result<(), String> {
     let db = load_db(&flags)?;
     let max_per: i64 =
         flags.require("max-per")?.parse().map_err(|e| format!("bad --max-per: {e}"))?;
-    let min_sup = parse_threshold(flags.require("min-sup")?)?;
+    let min_sup = flags.require("min-sup")?.parse::<Threshold>()?;
     let (patterns, stats) = PfGrowth::new(PfParams::new(max_per, min_sup)).mine(&db);
     eprintln!(
         "{} periodic-frequent patterns ({} candidates checked)",
@@ -395,7 +384,7 @@ fn ppattern(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args)?;
     let db = load_db(&flags)?;
     let period: i64 = flags.require("period")?.parse().map_err(|e| format!("bad --period: {e}"))?;
-    let min_sup = parse_threshold(flags.require("min-sup")?)?;
+    let min_sup = flags.require("min-sup")?.parse::<Threshold>()?;
     let window: i64 = flags.parse_num("window", 1)?;
     let params = PPatternParams::new(period, min_sup, window);
     let (patterns, stats) = mine_periodic_first(&db, &params, Some(1_000_000));

@@ -74,11 +74,12 @@ fn parallel_reports_scheduling_counters() {
 
 #[test]
 fn parallel_delta_frontier_matches_sequential_across_thread_counts() {
-    // The delta miner's work-stealing frontier re-measurement must be
-    // bit-identical to its sequential path — and to a batch mine — at every
-    // thread count, with independently-evolved stores converging on the
-    // same snapshot.
-    use recurring_patterns::core::{IncrementalMiner, PatternStore, RunControl};
+    // The stores are warmed by full mines at 1, 2, 3 and 8 threads, so their
+    // resume states come from the recursion's capture or the regions'. The
+    // delta that follows walks the frontier on one thread either way: it
+    // must be bit-identical to a batch mine and resume exactly as often
+    // from every store.
+    use recurring_patterns::core::{DeltaMode, IncrementalMiner, PatternStore, RunControl};
 
     for (name, db, params) in database_pool().into_iter().step_by(7) {
         let n = db.len();
@@ -91,41 +92,42 @@ fn parallel_delta_frontier_matches_sequential_across_thread_counts() {
         };
         let mut miner = IncrementalMiner::new(params);
         feed(&mut miner, 0..split);
-        let mut stores: Vec<PatternStore> = (0..4).map(|_| PatternStore::new()).collect();
-        for store in &mut stores {
-            miner.mine_delta(store); // warming full mine
-        }
-        feed(&mut miner, split..n);
-        // The oracle mines the miner's own database: item ids are interned
-        // in arrival order, which differs from the generator's interning.
-        let batch = mine_resolved(miner.db(), params);
-        let mut outputs = Vec::new();
-        for (store, threads) in stores.iter_mut().zip([1usize, 2, 3, 8]) {
-            let (result, abort, stats) = miner.mine_delta_controlled(
+        let thread_counts = [1usize, 2, 3, 8];
+        let mut stores: Vec<PatternStore> = thread_counts.map(|_| PatternStore::new()).into();
+        for (store, threads) in stores.iter_mut().zip(thread_counts) {
+            let (_, abort, stats) = miner.mine_delta_controlled(
                 store,
                 &RunControl::new(),
                 &mut MineScratch::new(),
                 threads,
             );
             assert!(abort.is_none(), "{name}: unlimited control aborted");
-            assert_eq!(
-                result.patterns, batch.patterns,
-                "{name}: delta threads={threads} diverged from batch"
-            );
-            outputs.push((threads, result, stats));
+            assert!(!stats.mode.is_delta(), "{name}: threads={threads} warms with a full mine");
         }
-        let (_, seq, seq_stats) = &outputs[0];
-        for (threads, par, stats) in &outputs[1..] {
-            assert_eq!(seq.patterns, par.patterns, "{name}: threads={threads}");
-            assert_eq!(
-                seq.stats.normalized(),
-                par.stats.normalized(),
-                "{name}: stats diverged at threads={threads}"
-            );
-            assert_eq!(
-                seq_stats.checkpoint_hits, stats.checkpoint_hits,
-                "{name}: resume behaviour diverged at threads={threads}"
-            );
+        // Appended in steps of 25 rows, so each step stays under the tail
+        // budget and walks the frontier.
+        for from in (split..n).step_by(25) {
+            feed(&mut miner, from..n.min(from + 25));
+            // The oracle mines the miner's own database: item ids are
+            // interned in arrival order, which differs from the generator's.
+            let batch = mine_resolved(miner.db(), params);
+            let mut outputs = Vec::new();
+            for (store, threads) in stores.iter_mut().zip(thread_counts) {
+                let (result, stats) = miner.mine_delta(store);
+                assert_eq!(
+                    result.patterns, batch.patterns,
+                    "{name}@{from}: delta after a {threads}-thread warm-up diverged from batch"
+                );
+                outputs.push((threads, result, stats));
+            }
+            let (_, first, first_stats) = &outputs[0];
+            assert_eq!(first_stats.mode, DeltaMode::Delta, "{name}@{from}: under the tail budget");
+            for (threads, other, stats) in &outputs[1..] {
+                let ctx = format!("{name}@{from} after a {threads}-thread warm-up");
+                assert_eq!(stats.mode, first_stats.mode, "{ctx}");
+                assert_eq!(first.stats.normalized(), other.stats.normalized(), "{ctx}");
+                assert_eq!(first_stats.checkpoint_hits, stats.checkpoint_hits, "{ctx}");
+            }
         }
     }
 }
